@@ -163,14 +163,6 @@ def _load_dataset(manifest_path):
     return clips, labels, manifest.label_set
 
 
-def _spec_from_extras(extras: dict) -> FeatureSpec:
-    stored = extras.get("feature_spec")
-    if stored is None:
-        warnings.warn("weights file carries no feature settings; assuming defaults")
-        return FeatureSpec()
-    return FeatureSpec.from_dict(stored)
-
-
 def _labeled_clips_for_model(manifest_path, model):
     """Clips paired with indices into the model's label ordering."""
     manifest = load_manifest(manifest_path)
@@ -291,7 +283,7 @@ def cmd_train(args) -> int:
         activation=args.activation,
         n_classes=n_classes,
     )
-    summary, model, _ = cross_validate(
+    summary, model, _, standardizer = cross_validate(
         clips, labels, label_set, config, tc,
         n_folds=args.folds, spec=spec, jobs=args.jobs, keep_last_model=True,
     )
@@ -303,6 +295,8 @@ def cmd_train(args) -> int:
     print(f"mean test accuracy {summary.mean_test:.3f} +/- {summary.std_test:.3f}")
     print(param_report(model).summary())
     extras = {"feature_spec": spec.to_dict(), "cv": summary.to_dict()}
+    if standardizer is not None:
+        extras["standardizer"] = standardizer.state()
     save_weights(model, args.output, extras=extras)
     print(f"weights written to {args.output}")
     if args.report_json:
@@ -349,7 +343,7 @@ def cmd_gridsearch(args) -> int:
 
 def cmd_eval(args) -> int:
     model, extras = load_weights(args.model)
-    spec = _spec_from_extras(extras)
+    spec = FeatureSpec.from_extras(extras)
     pairs = _labeled_clips_for_model(args.manifest, model)
     test_set = [(spec.extract(clip).values, label) for clip, label in pairs]
     report = evaluate(model, test_set, model.label_set)
@@ -362,7 +356,7 @@ def cmd_eval(args) -> int:
 
 def cmd_durations(args) -> int:
     model, extras = load_weights(args.model)
-    spec = _spec_from_extras(extras)
+    spec = FeatureSpec.from_extras(extras)
     pairs = _labeled_clips_for_model(args.manifest, model)
     accuracies = duration_study(
         model, pairs, durations=tuple(args.durations), spec=spec
@@ -375,7 +369,7 @@ def cmd_durations(args) -> int:
 
 def cmd_detect(args) -> int:
     model, extras = load_weights(args.model)
-    spec = _spec_from_extras(extras)
+    spec = FeatureSpec.from_extras(extras)
     cp = ChunkParams(
         chunk_seconds=args.chunk_seconds,
         hop_seconds=args.hop_seconds,

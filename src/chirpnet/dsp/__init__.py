@@ -14,7 +14,7 @@ from .features import (
     mfcc,
     save_features,
 )
-from .fft import dft, fft, ifft, naive_dft, power_spectrum
+from .fft import fft, power_spectrum
 from .mel import MelFilterbank, build_filterbank, filterbank_energies, mel_scale, mel_to_hz
 from .windowing import (
     FrameParams,
@@ -37,10 +37,7 @@ __all__ = [
     "mel_spectrogram",
     "mfcc",
     "save_features",
-    "dft",
     "fft",
-    "ifft",
-    "naive_dft",
     "power_spectrum",
     "MelFilterbank",
     "build_filterbank",

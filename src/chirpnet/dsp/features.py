@@ -151,7 +151,8 @@ class Standardizer:
         self.std: np.ndarray | None = None
 
     def fit(self, matrices) -> "Standardizer":
-        mats = [m.values for m in matrices]
+        """Fit on FeatureMatrix objects or bare (bands x frames) arrays."""
+        mats = [getattr(m, "values", m) for m in matrices]
         if not mats:
             raise ParameterError("cannot fit a standardizer on zero matrices")
         stacked = np.concatenate(mats, axis=1)
@@ -160,12 +161,19 @@ class Standardizer:
         self.std = np.where(std < 1e-8, 1.0, std)
         return self
 
-    def transform(self, matrix: FeatureMatrix) -> FeatureMatrix:
+    def apply(self, values: np.ndarray) -> np.ndarray:
+        """Scale a bare (bands x frames) array."""
         if self.mean is None:
             raise ParameterError("standardizer not fitted")
-        vals = (matrix.values - self.mean[:, None]) / self.std[:, None]
+        if values.shape[0] != self.mean.shape[0]:
+            raise ShapeError(
+                f"standardizer fit on {self.mean.shape[0]} bands, got {values.shape[0]}"
+            )
+        return (values - self.mean[:, None]) / self.std[:, None]
+
+    def transform(self, matrix: FeatureMatrix) -> FeatureMatrix:
         return FeatureMatrix(
-            values=vals,
+            values=self.apply(matrix.values),
             kind=matrix.kind,
             frame_params=matrix.frame_params,
             sample_rate=matrix.sample_rate,
@@ -176,9 +184,18 @@ class Standardizer:
 
     @classmethod
     def from_state(cls, state: dict) -> "Standardizer":
+        """Rebuild from state(); rejects statistics no fit could produce."""
+        try:
+            mean = np.asarray(state["mean"], dtype=np.float64)
+            std = np.asarray(state["std"], dtype=np.float64)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise CorruptionError(f"unreadable standardizer state: {exc}") from exc
+        if mean.ndim != 1 or mean.shape != std.shape or mean.size == 0:
+            raise CorruptionError("standardizer mean and std must be equal-length vectors")
+        if not (np.isfinite(mean).all() and np.isfinite(std).all() and (std > 0).all()):
+            raise CorruptionError("standardizer statistics must be finite with std > 0")
         s = cls()
-        s.mean = np.asarray(state["mean"], dtype=np.float64)
-        s.std = np.asarray(state["std"], dtype=np.float64)
+        s.mean, s.std = mean, std
         return s
 
 

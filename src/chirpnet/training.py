@@ -18,7 +18,7 @@ import numpy as np
 
 from .audio.clip import AudioClip
 from .audio.preprocess import pad_to_length
-from .dsp.features import FeatureMatrix, extract_features
+from .dsp.features import FeatureMatrix, Standardizer, extract_features
 from .dsp.mel import MelFilterbank
 from .dsp.windowing import FrameParams
 from .errors import DivergenceError, NumericError, ParameterError, ShapeError
@@ -273,13 +273,18 @@ def evaluate(
 
 @dataclass(frozen=True)
 class FeatureSpec:
-    """How to turn clips into matrices for one experiment."""
+    """How to turn clips into matrices for one experiment.
+
+    A saved model's spec also carries the standardizer it was trained
+    with, so every consumer of the model extracts identical features.
+    """
 
     kind: str = "mel-db"
     n_mels: int = 128
     n_mfcc: int = 20
     preemphasis_b: float = 0.97
     frame_params: FrameParams = FrameParams()
+    standardizer: Optional[Standardizer] = None
 
     def extract(self, clip: AudioClip, fb: Optional[MelFilterbank] = None) -> FeatureMatrix:
         kwargs = {"fp": self.frame_params, "n_mels": self.n_mels}
@@ -287,7 +292,10 @@ class FeatureSpec:
             kwargs["fb"] = fb
         if self.kind == "mfcc":
             kwargs.update(b=self.preemphasis_b, n_mfcc=self.n_mfcc)
-        return extract_features(clip, self.kind, **kwargs)
+        matrix = extract_features(clip, self.kind, **kwargs)
+        if self.standardizer is not None:
+            matrix = self.standardizer.transform(matrix)
+        return matrix
 
     def to_dict(self) -> dict:
         return {
@@ -299,6 +307,20 @@ class FeatureSpec:
             "hop": self.frame_params.hop,
             "fft_size": self.frame_params.fft_size,
         }
+
+    @classmethod
+    def from_extras(cls, extras: dict) -> "FeatureSpec":
+        """A saved model's feature path: its spec plus its training standardization."""
+        stored = extras.get("feature_spec")
+        if stored is None:
+            warnings.warn("weights file carries no feature settings; assuming defaults")
+            spec = cls()
+        else:
+            spec = cls.from_dict(stored)
+        state = extras.get("standardizer")
+        if state is not None:
+            spec = replace(spec, standardizer=Standardizer.from_state(state))
+        return spec
 
     @classmethod
     def from_dict(cls, d: dict) -> "FeatureSpec":
@@ -338,17 +360,6 @@ def _prepare_fold_features(
     return out
 
 
-def _standardize_sets(*sets):
-    """Per-band mean/std from the first set, applied to all of them."""
-    stacked = np.concatenate([f for f, _ in sets[0]], axis=1)
-    mean = stacked.mean(axis=1)[:, None]
-    std = stacked.std(axis=1)[:, None]
-    std[std < 1e-8] = 1.0
-    return tuple(
-        [((f - mean) / std, label) for f, label in s] for s in sets
-    )
-
-
 def run_fold(
     fold: int,
     clips: list[AudioClip],
@@ -358,9 +369,10 @@ def run_fold(
     tc: TrainConfig,
     spec: FeatureSpec,
     seeds: tuple[int, int, int],
-) -> tuple[FoldReport, FcnModel, np.ndarray]:
-    """Train and evaluate one Monte Carlo fold; returns the trained model
-    and the fold's test indices alongside the report."""
+) -> tuple[FoldReport, FcnModel, np.ndarray, Optional[Standardizer]]:
+    """Train and evaluate one Monte Carlo fold; returns the trained model,
+    the fold's test indices and, with tc.standardize, the per-band
+    statistics fit on the fold's training set, alongside the report."""
     split_seed, init_seed, train_seed = seeds
     train_idx, test_idx = monte_carlo_split(labels, fold_seed=split_seed)
 
@@ -380,9 +392,12 @@ def run_fold(
     val_set = padded[fit_idx.size :]
     test_set = [(spec.extract(clips[i]).values, labels[i]) for i in test_idx]
     train_eval = [(spec.extract(clips[i]).values, labels[i]) for i in train_idx]
+    standardizer = None
     if tc.standardize:
-        fit_set, val_set, test_set, train_eval = _standardize_sets(
-            fit_set, val_set, test_set, train_eval
+        standardizer = Standardizer().fit(f for f, _ in fit_set)
+        fit_set, val_set, test_set, train_eval = (
+            [(standardizer.apply(f), label) for f, label in s]
+            for s in (fit_set, val_set, test_set, train_eval)
         )
 
     model = build_model(config, label_set, seed=init_seed)
@@ -398,11 +413,14 @@ def run_fold(
         history=history,
         stopped_epoch=history.epochs(),
     )
-    return fold_report, model, test_idx
+    return fold_report, model, test_idx, standardizer
 
 
-def _run_fold_star(args) -> FoldReport:
-    return run_fold(*args)[0]
+def _run_fold_star(args):
+    """Run one fold; keep the whole result for the kept fold, else the report alone."""
+    *fold_args, keep = args
+    result = run_fold(*fold_args)
+    return result if keep else result[:1]
 
 
 def cross_validate(
@@ -415,33 +433,27 @@ def cross_validate(
     spec: FeatureSpec = FeatureSpec(),
     jobs: int = 1,
     keep_last_model: bool = False,
-) -> CvSummary | tuple[CvSummary, FcnModel, np.ndarray]:
+) -> CvSummary | tuple[CvSummary, FcnModel, np.ndarray, Optional[Standardizer]]:
     """n_folds independent splits, a fresh model per fold, mean/std summary.
 
-    With keep_last_model=True, the final fold's trained model and its test
-    indices are returned for reuse (duration studies, detection demos).
+    With keep_last_model=True, the final fold's trained model, its test
+    indices and its standardizer (None unless tc.standardize) are returned
+    for reuse (saved weights, duration studies, detection demos).
     """
     if len(clips) != len(labels):
         raise ParameterError("clips and labels differ in length")
     seeds = _fold_seeds(tc.seed, n_folds)
     args = [
-        (fold, clips, labels, label_set, config, tc, spec, seeds[fold])
+        (fold, clips, labels, label_set, config, tc, spec, seeds[fold],
+         keep_last_model and fold == n_folds - 1)
         for fold in range(n_folds)
     ]
-    last_model = None
-    last_test_idx = None
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            folds = list(pool.map(_run_fold_star, args))
-        if keep_last_model:
-            _, last_model, last_test_idx = run_fold(*args[-1])
+            results = list(pool.map(_run_fold_star, args))
     else:
-        folds = []
-        for a in args:
-            report, model, test_idx = run_fold(*a)
-            folds.append(report)
-            last_model, last_test_idx = model, test_idx
-    summary = summarize_folds(folds)
+        results = [_run_fold_star(a) for a in args]
+    summary = summarize_folds([r[0] for r in results])
     if not keep_last_model:
         return summary
-    return summary, last_model, last_test_idx
+    return (summary, *results[-1][1:])

@@ -22,6 +22,14 @@ def naive_dft(frame: np.ndarray) -> np.ndarray:
     return dft_matrix(x.shape[0]) @ x
 
 
+def naive_dft_bins(frame: np.ndarray, bins) -> np.ndarray:
+    """Selected DFT bins by direct summation, for lengths too long for a full matrix."""
+    x = np.asarray(frame, dtype=np.complex128)
+    n = x.shape[0]
+    angles = np.outer(np.asarray(bins), np.arange(n)) % n
+    return np.exp(-2j * np.pi * angles / n) @ x
+
+
 def naive_half_spectrum(frame: np.ndarray) -> np.ndarray:
     n = len(frame)
     return naive_dft(frame)[: n // 2 + 1]

@@ -70,7 +70,7 @@ def cv_bundle():
     """The 4-class benchmark run shared by the training-dependent checks."""
     t0 = time.monotonic()
     clips, labels, label_set = make_desk_dataset(n_per_class=40, duration=2.0, seed=7)
-    summary, model, test_idx = cross_validate(
+    summary, model, test_idx, _ = cross_validate(
         clips, labels, label_set, DESK_CONFIG, DESK_TRAIN,
         n_folds=10, spec=DESK_SPEC, keep_last_model=True,
     )
@@ -298,7 +298,7 @@ def test_09_bitwise_reproducibility(tmp_path):
             for _ in range(8):
                 clips.append(make_clip(kind, duration=0.5, rng=rng))
                 labels.append(idx)
-        summary, model, test_idx = cross_validate(
+        summary, model, test_idx, _ = cross_validate(
             clips, labels, label_set, config, tc,
             n_folds=2, spec=spec, keep_last_model=True, jobs=1,
         )

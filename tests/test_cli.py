@@ -5,13 +5,16 @@ import json
 import numpy as np
 import pytest
 
+from chirpnet.audio.clip import decode_audio
 from chirpnet.audio.fetch import FetchReport
-from chirpnet.audio.manifest import ManifestEntry
+from chirpnet.audio.manifest import ManifestEntry, load_manifest
 from chirpnet.audio.wavio import write_wav
 from chirpnet.cli import main
 from chirpnet.dsp.features import load_features
 from chirpnet.errors import FetchError
+from chirpnet.model import FcnConfig, grid_widths, load_weights, save_weights
 from chirpnet.synth import make_clip
+from chirpnet.training import FeatureSpec, TrainConfig, cross_validate, evaluate
 
 
 def write_corpus(raw, n_per_class=4, seconds=0.5):
@@ -148,6 +151,53 @@ class TestTrainAndEval:
         events = payload[str(wav)]
         assert len(events) == 1
         assert set(events[0]) == {"t_start", "t_end", "species", "confidence", "low_energy"}
+
+
+class TestStandardizedModel:
+    def test_saved_model_evaluates_like_the_trained_one(self, workspace, tmp_path, capsys):
+        """train --standardize -> save -> load -> eval equals the in-memory evaluation."""
+        _, manifest, _ = workspace
+        path = tmp_path / "std.fcnw"
+        assert main([
+            "train", str(manifest), "--output", str(path),
+            "--depth", "3", "--width", "100", "--n-mels", "16", "--activation", "tanh",
+            "--epochs-max", "3", "--batch-size", "8", "--patience", "3",
+            "--folds", "2", "--seed", "0", "--standardize",
+        ]) == 0
+        capsys.readouterr()
+
+        dataset = load_manifest(manifest)
+        clips = [decode_audio(manifest.parent / e.path) for e in dataset.entries]
+        labels = [dataset.class_index(e.species) for e in dataset.entries]
+        names = dataset.label_set
+        spec = FeatureSpec(kind="mel-db", n_mels=16)
+        config = FcnConfig(depth=3, widths=grid_widths(3, 100, len(names)),
+                           activation="tanh", n_classes=len(names))
+        tc = TrainConfig(epochs_max=3, batch_size=8, early_stop_patience=3,
+                         standardize=True, seed=0)
+        _, model, _, standardizer = cross_validate(
+            clips, labels, names, config, tc, n_folds=2, spec=spec, keep_last_model=True,
+        )
+        features = [standardizer.apply(spec.extract(c).values) for c in clips]
+        expected = evaluate(model, list(zip(features, labels)), names)
+
+        loaded, extras = load_weights(path)
+        assert all(np.array_equal(a.data, b.data)
+                   for a, b in zip(model.params(), loaded.params()))
+        saved_spec = FeatureSpec.from_extras(extras)
+        for clip, want in zip(clips, features):
+            np.testing.assert_array_equal(saved_spec.extract(clip).values, want)
+
+        assert main(["eval", str(manifest), "--model", str(path)]) == 0
+        assert capsys.readouterr().out == expected.table() + "\n"
+
+    def test_corrupt_statistics_exit_with_bad_data(self, workspace, tmp_path, capsys):
+        _, manifest, model = workspace
+        loaded, extras = load_weights(model)
+        bad = tmp_path / "bad.fcnw"
+        save_weights(loaded, bad, extras={**extras, "standardizer": {"mean": [0.0], "std": [0.0]}})
+        assert main(["eval", str(manifest), "--model", str(bad)]) == 3
+        assert "standardizer" in capsys.readouterr().err
 
 
 class TestConfigOverrides:

@@ -160,6 +160,29 @@ class TestStandardizer:
         with pytest.raises(ParameterError):
             Standardizer().fit([])
 
+    def test_bare_arrays_match_matrices(self):
+        mats = self._mats()
+        a = Standardizer().fit(mats)
+        b = Standardizer().fit([m.values for m in mats])
+        np.testing.assert_array_equal(a.apply(mats[1].values), b.transform(mats[1]).values)
+
+    def test_band_count_mismatch_rejected(self):
+        s = Standardizer().fit(self._mats())
+        with pytest.raises(ShapeError):
+            s.apply(np.zeros((5, 3)))
+
+    @pytest.mark.parametrize("state", [
+        {},
+        {"mean": [0.0, 1.0], "std": [1.0]},
+        {"mean": [0.0], "std": [0.0]},
+        {"mean": [float("nan")], "std": [1.0]},
+        {"mean": "zero", "std": [1.0]},
+        {"mean": [[0.0]], "std": [[1.0]]},
+    ])
+    def test_malformed_state_rejected(self, state):
+        with pytest.raises(CorruptionError):
+            Standardizer.from_state(state)
+
 
 class TestCacheFiles:
     def _matrix(self):

@@ -1,24 +1,11 @@
-"""Transform correctness: radix-2 path vs direct summation, known signals."""
+"""Transform correctness: four-step kernel vs direct summation, known signals."""
 
 import numpy as np
 import pytest
 
 import oracles
-from chirpnet.dsp.fft import (
-    bit_reverse_indices,
-    dft,
-    fft,
-    ifft,
-    naive_dft,
-    power_spectrum,
-)
-from chirpnet.errors import DegenerateInputError
-
-
-def test_bit_reversal_is_an_involution():
-    for n in (2, 8, 64, 1024):
-        idx = bit_reverse_indices(n)
-        np.testing.assert_array_equal(idx[idx], np.arange(n))
+from chirpnet.dsp.fft import _BLOCK, fft, power_spectrum
+from chirpnet.errors import DegenerateInputError, ParameterError
 
 
 def test_fft_matches_direct_summation():
@@ -34,22 +21,24 @@ def test_fft_matches_numpy_on_random_batches():
     np.testing.assert_allclose(fft(x), np.fft.fft(x, axis=-1), atol=1e-9)
 
 
-def test_non_power_of_two_falls_back_to_direct():
-    rng = np.random.default_rng(2)
-    x = rng.standard_normal(12)
-    np.testing.assert_allclose(fft(x), np.fft.fft(x), atol=1e-9)
+@pytest.mark.parametrize("n", [2**k for k in range(14)])
+def test_fft_matches_direct_summation_on_complex_rows(n):
+    """Every split the kernel takes, including the recursive sizes above 4096."""
+    rng = np.random.default_rng(n)
+    x = rng.standard_normal((3, n)) + 1j * rng.standard_normal((3, n))
+    got = fft(x)
+    bins = np.unique(np.concatenate([np.arange(min(n, 64)), rng.integers(0, n, 64), [n - 1]]))
+    want = np.stack([oracles.naive_dft_bins(row, bins) for row in x])
+    np.testing.assert_allclose(got[:, bins], want, atol=1e-9)
+    np.testing.assert_allclose(got, np.fft.fft(x, axis=-1), atol=1e-9)
 
 
-def test_package_naive_path_matches_independent_one():
-    rng = np.random.default_rng(3)
-    x = rng.standard_normal(40)
-    np.testing.assert_allclose(naive_dft(x), oracles.naive_dft(x), atol=1e-10)
-
-
-def test_round_trip_through_inverse():
-    rng = np.random.default_rng(4)
-    x = rng.standard_normal(512)
-    np.testing.assert_allclose(ifft(fft(x)).real, x, atol=1e-10)
+@pytest.mark.parametrize("n", [3, 12, 40, 1000])
+def test_non_power_of_two_length_rejected(n):
+    with pytest.raises(ParameterError):
+        fft(np.ones(n))
+    with pytest.raises(ParameterError):
+        power_spectrum(np.ones((2, n)))
 
 
 def test_cosine_concentrates_in_one_bin():
@@ -89,9 +78,35 @@ def test_linearity():
 def test_half_spectrum_length_and_content():
     rng = np.random.default_rng(7)
     x = rng.standard_normal(1024)
-    half = dft(x)
-    assert half.shape == (513,)
-    np.testing.assert_allclose(half, np.fft.fft(x)[:513], atol=1e-9)
+    p = power_spectrum(x)
+    assert p.shape == (513,)
+    np.testing.assert_allclose(p, np.abs(np.fft.fft(x)[:513]) ** 2, atol=1e-9)
+
+
+@pytest.mark.parametrize(
+    "batch", sorted({1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 255, 256, 257, 2999})
+)
+def test_power_spectrum_batches_across_block_edges(batch):
+    rng = np.random.default_rng(batch)
+    frames = rng.standard_normal((batch, 1024))
+    p = power_spectrum(frames)
+    assert p.shape == (batch, 513)
+    want = np.abs(np.fft.rfft(frames, axis=-1)) ** 2
+    np.testing.assert_allclose(p, want, rtol=1e-9, atol=1e-9)
+    for i in sorted({0, batch // 2, batch - 1}):
+        np.testing.assert_allclose(p[i], oracles.naive_power_spectrum(frames[i]),
+                                   rtol=1e-9, atol=1e-9)
+
+
+@pytest.mark.parametrize("n", [2**k for k in range(13)])
+def test_power_spectrum_every_fft_size(n):
+    rng = np.random.default_rng(n)
+    frames = rng.standard_normal((5, n))
+    p = power_spectrum(frames)
+    want = np.stack([oracles.naive_power_spectrum(f) for f in frames[:2]])
+    np.testing.assert_allclose(p[:2], want, rtol=1e-9, atol=1e-9)
+    np.testing.assert_allclose(p, np.abs(np.fft.rfft(frames, axis=-1)) ** 2,
+                               rtol=1e-9, atol=1e-9)
 
 
 def test_power_spectrum_is_squared_magnitude():

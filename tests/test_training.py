@@ -1,8 +1,11 @@
 """Splitting, the training loop, and cross-validation plumbing."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from chirpnet import training
 from chirpnet.dsp.windowing import FrameParams
 from chirpnet.errors import DivergenceError, ParameterError, ShapeError
 from chirpnet.model import FcnConfig, build_model
@@ -243,13 +246,26 @@ class TestCrossValidate:
     def test_keep_last_model(self):
         clips, labels, names = self.dataset()
         spec = FeatureSpec(kind="mel-db", n_mels=16)
-        summary, model, test_idx = cross_validate(
+        summary, model, test_idx, standardizer = cross_validate(
             clips, labels, names, TINY_CONFIG, self.tc(),
             n_folds=2, spec=spec, keep_last_model=True,
         )
         assert model.label_set == names
         assert test_idx.size > 0
         assert test_idx.max() < len(clips)
+        assert standardizer is None
+
+    def test_keep_last_model_returns_fold_statistics(self):
+        clips, labels, names = self.dataset()
+        spec = FeatureSpec(kind="mel-db", n_mels=16)
+        tc = replace(self.tc(), standardize=True)
+        summary, _, _, standardizer = cross_validate(
+            clips, labels, names, TINY_CONFIG, tc, n_folds=2, spec=spec, keep_last_model=True,
+        )
+        assert standardizer.mean.shape == standardizer.std.shape == (16,)
+        assert summary.to_dict() == cross_validate(
+            clips, labels, names, TINY_CONFIG, tc, n_folds=2, spec=spec
+        ).to_dict()
 
     def test_deterministic_across_runs(self):
         clips, labels, names = self.dataset()
@@ -291,3 +307,30 @@ class TestCrossValidate:
             clips, labels, names, TINY_CONFIG, self.tc(), n_folds=2, spec=spec, jobs=2
         )
         assert serial.to_dict() == parallel.to_dict()
+
+    def test_parallel_last_model_comes_from_its_worker(self, monkeypatch):
+        """jobs=2 trains no fold in the parent and returns the worker's model."""
+        clips, labels, names = self.dataset()
+        spec = FeatureSpec(kind="mel-db", n_mels=16)
+        tc = replace(self.tc(), standardize=True)
+        _, serial_model, serial_idx, serial_std = cross_validate(
+            clips, labels, names, TINY_CONFIG, tc, n_folds=2, spec=spec, keep_last_model=True,
+        )
+        parent_calls = []  # workers append to their own copies
+
+        def counting_train_one(*args, **kwargs):
+            parent_calls.append(1)
+            return original(*args, **kwargs)
+
+        original = training.train_one
+        monkeypatch.setattr(training, "train_one", counting_train_one)
+        _, model, test_idx, std = cross_validate(
+            clips, labels, names, TINY_CONFIG, tc, n_folds=2, spec=spec,
+            keep_last_model=True, jobs=2,
+        )
+        assert parent_calls == []
+        np.testing.assert_array_equal(test_idx, serial_idx)
+        for a, b in zip(serial_model.state_arrays(), model.state_arrays()):
+            np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(std.mean, serial_std.mean)
+        np.testing.assert_array_equal(std.std, serial_std.std)
