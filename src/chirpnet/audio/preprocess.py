@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from ..errors import EmptyResultError, ParameterError
 from .clip import AudioClip
@@ -20,9 +21,7 @@ def frame_powers(samples: np.ndarray, frame: int = TRIM_FRAME, hop: int = TRIM_H
         raise ParameterError("cannot compute frame powers of an empty buffer")
     if x.shape[0] < frame:
         return np.array([np.mean(x * x)])
-    n_frames = 1 + (x.shape[0] - frame) // hop
-    idx = np.arange(frame)[None, :] + hop * np.arange(n_frames)[:, None]
-    return np.mean(x[idx] * x[idx], axis=1)
+    return np.mean(sliding_window_view(x * x, frame)[::hop], axis=1)
 
 
 def silence_mask(samples: np.ndarray, top_db: float = DEFAULT_TOP_DB) -> np.ndarray:

@@ -75,8 +75,8 @@ def hamming(length: int) -> np.ndarray:
     return 0.54 - 0.46 * np.cos(2.0 * np.pi * i / (length - 1))
 
 
-def frame_signal(samples: np.ndarray, fp: FrameParams) -> np.ndarray:
-    """Slice into overlapping frames of window_len starting every hop samples."""
+def _frame_view(samples: np.ndarray, fp: FrameParams) -> np.ndarray:
+    """Read-only (n_frames, window_len) view of overlapping frames."""
     x = np.asarray(samples, dtype=np.float64)
     if x.ndim != 1:
         raise ParameterError("expected a 1-d sample buffer")
@@ -84,14 +84,17 @@ def frame_signal(samples: np.ndarray, fp: FrameParams) -> np.ndarray:
         raise DegenerateInputError(
             f"signal of {x.shape[0]} samples is shorter than one {fp.window_len}-sample window"
         )
-    return sliding_window_view(x, fp.window_len)[:: fp.hop].copy()
+    return sliding_window_view(x, fp.window_len)[:: fp.hop]
+
+
+def frame_signal(samples: np.ndarray, fp: FrameParams) -> np.ndarray:
+    """Slice into overlapping frames of window_len starting every hop samples."""
+    return _frame_view(samples, fp).copy()
 
 
 def frame_and_window(samples: np.ndarray, fp: FrameParams) -> np.ndarray:
     """Hamming-windowed frames zero-padded to fft_size: (n_frames, fft_size)."""
-    frames = frame_signal(samples, fp)
-    frames *= hamming(fp.window_len)
-    if fp.fft_size > fp.window_len:
-        pad = np.zeros((frames.shape[0], fp.fft_size - fp.window_len))
-        frames = np.concatenate([frames, pad], axis=1)
+    view = _frame_view(samples, fp)
+    frames = np.zeros((view.shape[0], fp.fft_size))
+    np.multiply(view, hamming(fp.window_len), out=frames[:, : fp.window_len])
     return frames

@@ -1,13 +1,18 @@
 """Network assembly: configuration, forward passes, counting, persistence.
 
-The gap-head network is a stack of 3x3 same-padding conv blocks (conv,
-activation, 2x2 maxpool), a final 1x1 projection conv, global average
-pooling, dropout on the pooled vector, and softmax. Because every learnable
-layer is convolutional and the pooled vector's size depends only on channel
-count, one trained model classifies inputs of any frame count above a small
-minimum. The dense-head variant swaps global pooling for flatten + a fully
-connected layer, which locks the input size; it exists to demonstrate that
-restriction.
+The gap-head network is a stack of 3x3 same-padding conv blocks, a final
+1x1 projection conv, global average pooling, dropout on the pooled vector,
+and softmax. A block runs conv -> 2x2 maxpool -> activation while its
+activation is monotone non-decreasing (relu, tanh, and the adaptive
+activation while n * a > 0): then max(f(x)) == f(max(x)) exactly and f runs
+on a quarter of the elements. Otherwise it runs the generic order conv ->
+activation -> 2x2 maxpool.
+
+Because every learnable layer is convolutional and the pooled vector's size
+depends only on channel count, one trained model classifies inputs of any
+frame count above a small minimum. The dense-head variant swaps global
+pooling for flatten + a fully connected layer, which locks the input size;
+it exists to demonstrate that restriction.
 """
 
 from __future__ import annotations
@@ -205,8 +210,12 @@ class FcnModel:
         for i, conv in enumerate(self.convs):
             h = conv(h)
             if i < last:
-                h = self.activations[i](h)
-                h = F.maxpool2(h)
+                act = self.activations[i]
+                if act.monotone:
+                    # max(f(x)) == f(max(x)) for non-decreasing f; f then runs on a quarter
+                    h = act(F.maxpool2(h))
+                else:
+                    h = F.maxpool2(act(h))
         if self.config.head == "gap":
             h = F.global_avg_pool(h)
             h = self.dropout(h)
@@ -350,7 +359,12 @@ def save_weights(model: FcnModel, path, extras: Optional[dict] = None) -> None:
 
 
 def load_weights(path) -> tuple[FcnModel, dict]:
-    """Rebuild a model bit-exactly; returns (model, extras)."""
+    """Rebuild a model bit-exactly; returns (model, extras).
+
+    Every way the container can be malformed (truncation, a header that is
+    not UTF-8 JSON or lacks a field, an unknown or invalid config, non-finite
+    weights) raises CorruptionError.
+    """
     with open(path, "rb") as f:
         raw = f.read()
     if len(raw) < 9:
@@ -363,7 +377,10 @@ def load_weights(path) -> tuple[FcnModel, dict]:
     pos = 9
     if len(raw) < pos + hlen:
         raise CorruptionError(f"{path}: truncated header")
-    header = json.loads(raw[pos : pos + hlen].decode("utf-8"))
+    try:
+        header = json.loads(raw[pos : pos + hlen].decode("utf-8"))
+    except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError
+        raise CorruptionError(f"{path}: header is not UTF-8 JSON: {exc}") from exc
     pos += hlen
 
     def take(n: int, what: str) -> bytes:
@@ -378,31 +395,39 @@ def load_weights(path) -> tuple[FcnModel, dict]:
     labels = []
     for _ in range(n_labels):
         (ln,) = struct.unpack("<I", take(4, "label length"))
-        labels.append(take(ln, "label name").decode("utf-8"))
+        try:
+            labels.append(take(ln, "label name").decode("utf-8"))
+        except UnicodeDecodeError as exc:
+            raise CorruptionError(f"{path}: label name is not UTF-8: {exc}") from exc
 
-    cfg_fields = dict(header["config"])
-    cfg_fields["widths"] = tuple(cfg_fields["widths"])
-    config = FcnConfig(**cfg_fields)
-    fixed_shape = tuple(header["fixed_shape"]) if header.get("fixed_shape") else None
-    model = FcnModel(config, labels, seed=0, fixed_shape=fixed_shape)
+    try:
+        cfg_fields = dict(header["config"])
+        cfg_fields["widths"] = tuple(cfg_fields["widths"])
+        config = FcnConfig(**cfg_fields)
+        fixed_shape = tuple(header["fixed_shape"]) if header.get("fixed_shape") else None
+        model = FcnModel(config, labels, seed=0, fixed_shape=fixed_shape)
+        declared = [(str(d["name"]), tuple(d["shape"])) for d in header["params"]]
+        extras = header.get("extras", {})
+    except (KeyError, TypeError, ValueError, AttributeError, ConfigError) as exc:
+        raise CorruptionError(f"{path}: malformed header: {type(exc).__name__}: {exc}") from exc
 
-    declared = header["params"]
     params = model.params()
     if len(declared) != len(params):
         raise CorruptionError(
             f"{path}: header declares {len(declared)} tensors, model has {len(params)}"
         )
     arrays = []
-    for decl, p in zip(declared, params):
-        shape = tuple(decl["shape"])
+    for (name, shape), p in zip(declared, params):
         if shape != p.shape:
             raise CorruptionError(
-                f"{path}: tensor {decl['name']} has shape {shape}, model expects {p.shape}"
+                f"{path}: tensor {name} has shape {shape}, model expects {p.shape}"
             )
         count = int(np.prod(shape)) if shape else 1
-        data = take(4 * count, f"tensor {decl['name']}")
-        arrays.append(np.frombuffer(data, dtype="<f4").reshape(shape).copy())
+        data = np.frombuffer(take(4 * count, f"tensor {name}"), dtype="<f4")
+        if not np.all(np.isfinite(data)):
+            raise CorruptionError(f"{path}: tensor {name} holds NaN or Inf")
+        arrays.append(data.reshape(shape).copy())
     if pos != len(raw):
         raise CorruptionError(f"{path}: {len(raw) - pos} unexpected trailing bytes")
     model.load_state_arrays(arrays)
-    return model, header.get("extras", {})
+    return model, extras

@@ -8,10 +8,6 @@ from .layers import (
     Conv2d,
     Dense,
     Dropout,
-    Flatten,
-    GlobalAvgPool,
-    MaxPool2,
-    Softmax,
 )
 from .optim import Adam, AdamState, adam_step
 from .tensor import Tensor, parameter
@@ -25,10 +21,6 @@ __all__ = [
     "Conv2d",
     "Dense",
     "Dropout",
-    "Flatten",
-    "GlobalAvgPool",
-    "MaxPool2",
-    "Softmax",
     "Adam",
     "AdamState",
     "adam_step",

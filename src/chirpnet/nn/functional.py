@@ -45,6 +45,22 @@ def _batched(data: np.ndarray, want_ndim: int):
 # -- convolution ---------------------------------------------------------------
 
 
+def _pad_hw(x: np.ndarray, p: int) -> np.ndarray:
+    """Zero-pad both spatial axes of (B, H, W, C) by p on each side (cheaper than np.pad)."""
+    b, h, w, c = x.shape
+    xp = np.zeros((b, h + 2 * p, w + 2 * p, c), dtype=x.dtype)
+    xp[:, p : p + h, p : p + w] = x
+    return xp
+
+
+def _im2col(xp: np.ndarray, kh: int, kw: int) -> np.ndarray:
+    """(B, H, W, C) -> columns (B*OH*OW, kh*kw*C) of every valid kh x kw window."""
+    b, hp, wp, c = xp.shape
+    win = sliding_window_view(xp, (kh, kw), axis=(1, 2))
+    cols = np.ascontiguousarray(win.transpose(0, 1, 2, 4, 5, 3))
+    return cols.reshape(b * (hp - kh + 1) * (wp - kw + 1), kh * kw * c)
+
+
 def conv2d(x, kernels, bias, same_padding: bool = True) -> Tensor:
     """2-D cross-correlation over (B, H, W, Cin) with kernels (Cout, Cin, kh, kw).
 
@@ -66,15 +82,10 @@ def conv2d(x, kernels, bias, same_padding: bool = True) -> Tensor:
     pad = (kh - 1) // 2 if same_padding else 0
     if not same_padding and (h < kh or w < kw):
         raise DegenerateInputError("input smaller than kernel without padding")
-    if pad:
-        xp = np.pad(xd, ((0, 0), (pad, pad), (pad, pad), (0, 0)))
-    else:
-        xp = xd
+    xp = _pad_hw(xd, pad) if pad else xd
     oh, ow = xp.shape[1] - kh + 1, xp.shape[2] - kw + 1
 
-    # (B, OH, OW, Cin, kh, kw) -> columns (B*OH*OW, kh*kw*Cin)
-    win = sliding_window_view(xp, (kh, kw), axis=(1, 2))
-    cols = np.ascontiguousarray(win.transpose(0, 1, 2, 4, 5, 3)).reshape(b * oh * ow, kh * kw * cin)
+    cols = _im2col(xp, kh, kw)
     wmat = kernels.data.transpose(2, 3, 1, 0).reshape(kh * kw * cin, cout)
     out = cols @ wmat
     out += bias.data
@@ -92,7 +103,17 @@ def conv2d(x, kernels, bias, same_padding: bool = True) -> Tensor:
             kernels.accumulate_grad(dw)
         if _needs(bias):
             bias.accumulate_grad(gflat.sum(axis=0))
-        if _needs(x):
+        # dx: im2col of the gradient copies 9*cout values per pixel, the scatter
+        # loop does 9 strided adds of cin; the GEMM form wins up to cout ~ 2*cin
+        if _needs(x) and cout <= 2 * cin:
+            # correlate the gradient, padded to full size, with the flipped kernels
+            q = kh - 1 - pad
+            gp = _pad_hw(gd, q) if q else gd
+            wflip = kernels.data[:, :, ::-1, ::-1].transpose(2, 3, 0, 1).reshape(kh * kw * cout, cin)
+            dx = (_im2col(gp, kh, kw) @ wflip).reshape(b, h, w, cin)
+            x.accumulate_grad(dx[0] if squeeze else dx)
+        elif _needs(x):
+            # scatter the column gradients back, one kernel tap at a time
             dcols = (gflat @ wmat.T).reshape(b, oh, ow, kh, kw, cin)
             dxp = np.zeros_like(xp)
             for i in range(kh):
@@ -108,18 +129,22 @@ def conv2d(x, kernels, bias, same_padding: bool = True) -> Tensor:
 
 
 def maxpool2(x) -> Tensor:
-    """Non-overlapping 2x2 max pooling; a trailing odd row/column is dropped."""
+    """Non-overlapping 2x2 max pooling; a trailing odd row/column is dropped.
+
+    The four cells of each window are the strided views ``xd[:, i::2, j::2]``
+    taken in row-major order (0,0), (0,1), (1,0), (1,1). The gradient goes to
+    the first cell scanned that holds the maximum.
+    """
     x = _as_tensor(x)
     xd, squeeze = _batched(x.data, 4)
     b, h, w, c = xd.shape
     if h < 2 or w < 2:
         raise DegenerateInputError(f"maxpool2 needs at least 2x2 spatial input, got {h}x{w}")
     oh, ow = h // 2, w // 2
-    xc = xd[:, : oh * 2, : ow * 2, :]
-    # window axis enumerated row-major so argmax ties break to the first cell scanned
-    win = xc.reshape(b, oh, 2, ow, 2, c).transpose(0, 1, 3, 2, 4, 5).reshape(b, oh, ow, 4, c)
-    idx = win.argmax(axis=3)
-    out = np.take_along_axis(win, idx[:, :, :, None, :], axis=3)[:, :, :, 0, :]
+    cells = [(slice(i, 2 * oh, 2), slice(j, 2 * ow, 2)) for i in (0, 1) for j in (0, 1)]
+    out = np.maximum(xd[:, cells[0][0], cells[0][1]], xd[:, cells[1][0], cells[1][1]])
+    for rows, cols in cells[2:]:
+        np.maximum(out, xd[:, rows, cols], out=out)
 
     result_data = out[0] if squeeze else out
     if not _needs(x):
@@ -127,12 +152,16 @@ def maxpool2(x) -> Tensor:
 
     def backward(g: np.ndarray) -> None:
         gd = g if not squeeze else g[None]
-        dwin = np.zeros((b, oh, ow, 4, c), dtype=xd.dtype)
-        np.put_along_axis(dwin, idx[:, :, :, None, :], gd[:, :, :, None, :], axis=3)
-        dx = np.zeros_like(xd)
-        dx[:, : oh * 2, : ow * 2, :] = (
-            dwin.reshape(b, oh, ow, 2, 2, c).transpose(0, 1, 3, 2, 4, 5).reshape(b, oh * 2, ow * 2, c)
-        )
+        dx = np.empty_like(xd)
+        dx[:, 2 * oh :] = 0
+        dx[:, :, 2 * ow :] = 0
+        taken = np.zeros(out.shape, dtype=bool)
+        for rows, cols in cells:
+            hit = xd[:, rows, cols] == out
+            hit &= ~taken
+            # a product, not np.copyto(where=), which is several times slower on strided views
+            np.multiply(gd, hit, out=dx[:, rows, cols])
+            taken |= hit
         x.accumulate_grad(dx[0] if squeeze else dx)
 
     return Tensor(result_data, parents=(x,), backward_fn=backward)
@@ -198,20 +227,21 @@ def adaptive(x, a, n: float, base: str = "tanh") -> Tensor:
     s = n * aval * x.data
     if base == "tanh":
         out = np.tanh(s)
-        dbase = 1.0 - out * out
     elif base == "relu":
         out = np.maximum(s, 0)
-        dbase = (s > 0).astype(x.dtype)
     else:
         raise ParameterError(f"unknown base nonlinearity {base!r}")
     if not (_needs(x) or _needs(a)):
         return Tensor(out)
 
     def backward(g: np.ndarray) -> None:
+        # base'(s), computed only when a gradient is asked for
+        dbase = 1.0 - out * out if base == "tanh" else (out > 0).astype(x.dtype)
+        gb = g * dbase
         if _needs(x):
-            x.accumulate_grad(g * dbase * (n * aval))
+            x.accumulate_grad(gb * (n * aval))
         if _needs(a):
-            da = np.sum(g * dbase * n * x.data)
+            da = np.sum(gb * n * x.data)
             a.accumulate_grad(np.asarray(da, dtype=a.dtype).reshape(a.shape))
 
     return Tensor(out, parents=(x, a), backward_fn=backward)
@@ -258,55 +288,32 @@ def softmax(logits) -> Tensor:
     return Tensor(out, parents=(x,), backward_fn=backward)
 
 
-def cross_entropy(pred, target: int) -> Tensor:
-    """Negative log likelihood of one class: -ln(pred[target]).
+def cross_entropy_mean(pred, targets) -> Tensor:
+    """Mean NLL over a batch: pred (B, C), targets (B,) int class indices.
 
-    The probability is clamped below at PROB_FLOOR so the loss stays finite.
+    A single probability vector (C,) is a batch of one. Each probability is
+    clamped below at PROB_FLOOR so the loss stays finite.
     """
     pred = _as_tensor(pred)
-    if pred.data.ndim != 1:
-        raise ShapeError("cross_entropy expects a probability vector; use cross_entropy_mean for batches")
-    c = pred.data.shape[0]
-    target = int(target)
-    if not 0 <= target < c:
-        raise IndexError(f"target {target} out of range for {c} classes")
-    p = max(float(pred.data[target]), PROB_FLOOR)
-    out = np.asarray(-np.log(p), dtype=pred.dtype)
-    if not _needs(pred):
-        return Tensor(out)
-
-    def backward(g: np.ndarray) -> None:
-        dp = np.zeros_like(pred.data)
-        if pred.data[target] >= PROB_FLOOR:
-            dp[target] = -float(g) / p
-        pred.accumulate_grad(dp)
-
-    return Tensor(out, parents=(pred,), backward_fn=backward)
-
-
-def cross_entropy_mean(pred, targets) -> Tensor:
-    """Mean NLL over a batch: pred (B, C), targets (B,) int class indices."""
-    pred = _as_tensor(pred)
-    if pred.data.ndim != 2:
-        raise ShapeError("cross_entropy_mean expects (batch, classes) probabilities")
+    pd, squeeze = _batched(pred.data, 2)
     targets = np.asarray(targets, dtype=np.intp)
-    b, c = pred.data.shape
+    b, c = pd.shape
     if targets.shape != (b,):
         raise ShapeError(f"targets shape {targets.shape} does not match batch size {b}")
     if targets.min() < 0 or targets.max() >= c:
         raise IndexError("target class index out of range")
-    picked = pred.data[np.arange(b), targets]
+    picked = pd[np.arange(b), targets]
     clamped = np.maximum(picked, PROB_FLOOR)
     out = np.asarray(-np.log(clamped).mean(), dtype=pred.dtype)
     if not _needs(pred):
         return Tensor(out)
 
     def backward(g: np.ndarray) -> None:
-        dp = np.zeros_like(pred.data)
+        dp = np.zeros_like(pd)
         live = picked >= PROB_FLOOR
         rows = np.arange(b)[live]
         dp[rows, targets[live]] = -float(g) / (b * clamped[live])
-        pred.accumulate_grad(dp)
+        pred.accumulate_grad(dp[0] if squeeze else dp)
 
     return Tensor(out, parents=(pred,), backward_fn=backward)
 

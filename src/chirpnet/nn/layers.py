@@ -51,30 +51,11 @@ class Conv2d:
         return self.kernels.size + self.bias.size
 
 
-class MaxPool2:
-    def __call__(self, x: Tensor) -> Tensor:
-        return F.maxpool2(x)
-
-    def params(self) -> List[Tensor]:
-        return []
-
-    def param_count(self) -> int:
-        return 0
-
-
-class GlobalAvgPool:
-    def __call__(self, x: Tensor) -> Tensor:
-        return F.global_avg_pool(x)
-
-    def params(self) -> List[Tensor]:
-        return []
-
-    def param_count(self) -> int:
-        return 0
-
-
 class Activation:
     """Fixed nonlinearity: 'relu' or 'tanh'."""
+
+    # relu and tanh are monotone non-decreasing, so they commute with max pooling
+    monotone = True
 
     def __init__(self, kind: str):
         if kind not in ("relu", "tanh"):
@@ -105,6 +86,14 @@ class AdaptiveActivation:
         self.base = base
         self.slope = parameter(np.asarray(init_slope))
 
+    @property
+    def monotone(self) -> bool:
+        """True while n * a > 0, where base(n * a * x) is non-decreasing in x.
+
+        The slope is trained, so this is read afresh on every forward pass.
+        """
+        return self.n * float(self.slope.data.reshape(())) > 0
+
     def __call__(self, x: Tensor) -> Tensor:
         return F.adaptive(x, self.slope, self.n, self.base)
 
@@ -125,28 +114,6 @@ class Dropout:
 
     def __call__(self, x: Tensor) -> Tensor:
         return F.dropout(x, self.rate, self.train_mode, self.rng)
-
-    def params(self) -> List[Tensor]:
-        return []
-
-    def param_count(self) -> int:
-        return 0
-
-
-class Softmax:
-    def __call__(self, x: Tensor) -> Tensor:
-        return F.softmax(x)
-
-    def params(self) -> List[Tensor]:
-        return []
-
-    def param_count(self) -> int:
-        return 0
-
-
-class Flatten:
-    def __call__(self, x: Tensor) -> Tensor:
-        return F.flatten(x)
 
     def params(self) -> List[Tensor]:
         return []

@@ -9,7 +9,7 @@ small (just what the network needs), not a general-purpose autograd.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -89,12 +89,6 @@ class Tensor:
         for node in reversed(order):
             if node._backward_fn is not None and node.grad is not None:
                 node._backward_fn(node.grad)
-
-    def params_upstream(self) -> Iterable["Tensor"]:
-        """Leaf tensors with requires_grad reachable from this node."""
-        for node in _topo_order(self):
-            if node.requires_grad and node._backward_fn is None:
-                yield node
 
 
 def _topo_order(root: Tensor) -> list:

@@ -38,7 +38,7 @@ def _safe_draw(rng: np.random.Generator, shape, margin_fn: Callable) -> np.ndarr
 
 
 def _ce_loss(probs: Tensor, target: int = 0) -> Tensor:
-    return F.cross_entropy(probs, target)
+    return F.cross_entropy_mean(probs, [target])
 
 
 def scenario_conv3(seed: int = 11):

@@ -199,6 +199,23 @@ class TestStandardizedModel:
         assert main(["eval", str(manifest), "--model", str(bad)]) == 3
         assert "standardizer" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("damage", ["flipped header byte", "renamed params", "nan weight"])
+    def test_corrupt_container_exits_with_bad_data(self, workspace, tmp_path, capsys, damage):
+        _, manifest, model = workspace
+        raw = bytearray(model.read_bytes())
+        if damage == "flipped header byte":
+            raw[10] ^= 0x80
+        elif damage == "renamed params":
+            at = raw.index(b'"params"')
+            raw[at : at + 8] = b'"paramz"'
+        else:
+            raw[-4:] = np.float32(np.nan).tobytes()
+        bad = tmp_path / "bad.fcnw"
+        bad.write_bytes(bytes(raw))
+        assert main(["eval", str(manifest), "--model", str(bad)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+
 
 class TestConfigOverrides:
     def test_file_applies_and_cli_wins(self, workspace, tmp_path, capsys):

@@ -15,6 +15,26 @@ from chirpnet.nn.tensor import Tensor, parameter
 
 
 class TestConv2d:
+    @pytest.mark.parametrize("cin,cout", [(2, 1), (2, 4), (2, 5), (1, 6)])
+    @pytest.mark.parametrize("ksize,same", [(3, True), (3, False), (1, True)])
+    def test_input_gradient_matches_loop_reference(self, cin, cout, ksize, same):
+        """dx by either backward form (im2col GEMM up to cout = 2*cin, tap scatter
+        above) equals d/dx of sum(conv(x) * g), built from the loop oracle."""
+        rng = np.random.default_rng(cin * 10 + cout)
+        h, w = 5, 6
+        x = parameter(rng.standard_normal((2, h, w, cin)), dtype=np.float64)
+        k = rng.standard_normal((cout, cin, ksize, ksize))
+        out = F.conv2d(x, k, np.zeros(cout), same_padding=same)
+        g = rng.standard_normal(out.shape)
+        out.backward(g)
+        want = np.zeros(x.shape)
+        for idx in np.ndindex(h, w, cin):
+            basis = np.zeros((h, w, cin))
+            basis[idx] = 1.0
+            response = oracles.naive_conv2d(basis, k, np.zeros(cout), same_padding=same)
+            want[(slice(None), *idx)] = np.tensordot(g, response, axes=3)
+        np.testing.assert_allclose(x.grad, want, atol=1e-12)
+
     def test_matches_loop_reference(self):
         rng = np.random.default_rng(0)
         for _ in range(20):
@@ -90,6 +110,38 @@ class TestPooling:
         x = parameter(np.zeros((2, 2, 1)), dtype=np.float64)
         F.tsum(F.maxpool2(x)).backward()
         np.testing.assert_array_equal(x.grad[:, :, 0], [[1.0, 0.0], [0.0, 0.0]])
+
+    @pytest.mark.parametrize("first", range(4))
+    def test_tie_goes_to_first_cell_in_each_position(self, first):
+        """Cells first..3 of the window share the maximum; cell ``first`` gets the gradient."""
+        cells = np.full(4, -1.0)
+        cells[first:] = 2.0
+        x = parameter(cells.reshape(2, 2, 1), dtype=np.float64)
+        F.tsum(F.maxpool2(x)).backward()
+        want = np.zeros(4)
+        want[first] = 1.0
+        np.testing.assert_array_equal(x.grad.ravel(), want)
+
+    def test_gradient_matches_argmax_routing(self):
+        """Random windows with planted ties: the gradient lands where the
+        row-major argmax of each window points, and nowhere else."""
+        rng = np.random.default_rng(31)
+        x = rng.integers(0, 3, size=(3, 7, 9, 4)).astype(np.float64)
+        p = parameter(x, dtype=np.float64)
+        g = rng.standard_normal((3, 3, 4, 4))
+        F.maxpool2(p).backward(g)
+        win = x[:, :6, :8].reshape(3, 3, 2, 4, 2, 4).transpose(0, 1, 3, 2, 4, 5).reshape(3, 3, 4, 4, 4)
+        want = np.zeros((3, 3, 4, 4, 4))
+        np.put_along_axis(want, win.argmax(axis=3)[:, :, :, None], g[:, :, :, None], axis=3)
+        want = want.reshape(3, 3, 4, 2, 2, 4).transpose(0, 1, 3, 2, 4, 5).reshape(3, 6, 8, 4)
+        np.testing.assert_array_equal(p.grad[:, :6, :8], want)
+        assert not p.grad[:, 6:].any() and not p.grad[:, :, 8:].any()
+
+    def test_odd_tail_gets_zero_gradient(self):
+        x = parameter(np.arange(35.0).reshape(5, 7, 1), dtype=np.float64)
+        F.tsum(F.maxpool2(x)).backward()
+        assert not x.grad[4].any() and not x.grad[:, 6].any()
+        assert x.grad.sum() == 6.0
 
     def test_gap_matches_loop_reference(self):
         rng = np.random.default_rng(4)
@@ -173,23 +225,31 @@ class TestSoftmaxAndLoss:
 
     def test_cross_entropy_value(self):
         probs = np.array([0.2, 0.5, 0.3])
-        loss = F.cross_entropy(probs, 1)
-        np.testing.assert_allclose(float(loss.data), -np.log(0.5), rtol=1e-12)
+        for pred, target in ((probs, [1]), (probs[None], [1])):
+            loss = F.cross_entropy_mean(pred, target)
+            np.testing.assert_allclose(float(loss.data), -np.log(0.5), rtol=1e-12)
 
     def test_cross_entropy_clamps_zero_probability(self):
-        loss = F.cross_entropy(np.array([0.0, 1.0]), 0)
+        loss = F.cross_entropy_mean(np.array([0.0, 1.0]), [0])
         assert np.isfinite(loss.data)
         np.testing.assert_allclose(float(loss.data), -np.log(1e-12))
 
     def test_cross_entropy_target_range(self):
         with pytest.raises(IndexError):
-            F.cross_entropy(np.array([1.0]), 1)
+            F.cross_entropy_mean(np.array([1.0]), [1])
+
+    def test_cross_entropy_single_vector_gradient_keeps_its_shape(self):
+        p = parameter(np.array([0.2, 0.5, 0.3]), dtype=np.float64)
+        F.cross_entropy_mean(p, [1]).backward()
+        np.testing.assert_allclose(p.grad, [0.0, -2.0, 0.0], rtol=1e-12)
 
     def test_cross_entropy_mean_is_mean_of_singles(self):
+        """The batch mean equals the mean of the B=1 losses."""
         rng = np.random.default_rng(8)
         probs = F.softmax(rng.standard_normal((6, 4))).data
         targets = rng.integers(0, 4, size=6)
-        singles = [float(F.cross_entropy(probs[i], targets[i]).data) for i in range(6)]
+        singles = [float(F.cross_entropy_mean(probs[i : i + 1], targets[i : i + 1]).data)
+                   for i in range(6)]
         got = float(F.cross_entropy_mean(probs, targets).data)
         np.testing.assert_allclose(got, np.mean(singles), rtol=1e-12)
 

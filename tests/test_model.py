@@ -1,5 +1,9 @@
 """Network configuration, forward-pass geometry, counting, persistence."""
 
+import json
+from dataclasses import replace
+import struct
+
 import numpy as np
 import pytest
 
@@ -22,6 +26,8 @@ from chirpnet.model import (
     param_report,
     save_weights,
 )
+from chirpnet.nn import functional as F
+from chirpnet.nn.layers import Activation, AdaptiveActivation
 from chirpnet.nn.tensor import Tensor
 
 SMALL = FcnConfig(depth=3, widths=(6, 6, 3), activation="tanh", n_classes=3, enforce_grid=False)
@@ -142,6 +148,69 @@ class TestForward:
     def test_label_count_must_match(self):
         with pytest.raises(ConfigError, match="label set"):
             build_model(SMALL, ["a", "b"], seed=0)
+
+
+DESK = FcnConfig(depth=4, widths=(8, 16, 8, 4), activation="adaptive", n_classes=4,
+                 enforce_grid=False)
+
+
+def generic_order(monkeypatch):
+    """Force conv -> activation -> maxpool in every block."""
+    monkeypatch.setattr(Activation, "monotone", False)
+    monkeypatch.setattr(AdaptiveActivation, "monotone", False)
+
+
+class TestPoolFirst:
+    """Pooling before a monotone activation gives bitwise the generic order's outputs."""
+
+    @pytest.mark.parametrize("activation", ["relu", "tanh", "adaptive"])
+    def test_canonical_chunk_bitwise_equal(self, activation, monkeypatch):
+        model = build_model(canonical_config(activation=activation), [f"s{i}" for i in range(17)],
+                            seed=5)
+        x = np.random.default_rng(11).normal(-50.0, 20.0, size=(128, 299)).astype(np.float32)
+        assert all(act.monotone for act in model.activations)
+        pool_first = model.forward(x)
+        generic_order(monkeypatch)
+        np.testing.assert_array_equal(model.forward(x), pool_first)
+
+    @pytest.mark.parametrize("activation", ["relu", "tanh", "adaptive"])
+    @pytest.mark.parametrize("shape", [(32, 199), (33, 71), (17, 40), (32, 9)])
+    def test_desk_model_odd_extents_bitwise_equal(self, activation, shape, monkeypatch):
+        model = build_model(replace(DESK, activation=activation), list("abcd"), seed=2)
+        if activation == "adaptive":
+            for act, slope in zip(model.activations, (0.037, 0.1, 0.31)):
+                act.slope.data[...] = slope
+        rng = np.random.default_rng(sum(shape))
+        single = rng.normal(size=shape)
+        batch = Tensor(rng.normal(size=(3, *shape, 1)).astype(np.float32))
+        pool_first = model.forward(single), model.forward_tensor(batch).data
+        generic_order(monkeypatch)
+        np.testing.assert_array_equal(model.forward(single), pool_first[0])
+        np.testing.assert_array_equal(model.forward_tensor(batch).data, pool_first[1])
+
+    def test_negative_slope_falls_back_to_generic_order(self, monkeypatch):
+        model = build_model(DESK, list("abcd"), seed=3)
+        model.activations[1].slope.data[...] = -0.1
+        assert [act.monotone for act in model.activations] == [True, False, True]
+        x = np.random.default_rng(4).normal(size=(32, 199))
+
+        seen = []
+        adaptive = F.adaptive
+
+        def spy(h, *args, **kwargs):
+            seen.append(h.shape)
+            return adaptive(h, *args, **kwargs)
+
+        monkeypatch.setattr(F, "adaptive", spy)
+        got = model.forward(x)
+        # block 1 activates its full conv output (32/2 x 199/2, 16 channels) before pooling
+        assert seen == [(16, 99, 8), (16, 99, 16), (4, 24, 8)]
+
+        generic_order(monkeypatch)
+        np.testing.assert_array_equal(model.forward(x), got)
+        # pooling first under a decreasing activation would change the answer
+        monkeypatch.setattr(AdaptiveActivation, "monotone", True)
+        assert not np.array_equal(model.forward(x), got)
 
 
 class TestDenseHead:
@@ -299,6 +368,81 @@ class TestPersistence:
         save_weights(model, p)
         p.write_bytes(p.read_bytes() + b"\x00\x00")
         with pytest.raises(CorruptionError, match="trailing"):
+            load_weights(p)
+
+
+def _saved(tmp_path, model=None):
+    p = tmp_path / "x.fcnw"
+    save_weights(model or build_model(SMALL, LABELS3, seed=0), p)
+    return p
+
+
+def _edit_header(path, edit):
+    """Replace the JSON header bytes with edit(header_bytes), fixing the length field."""
+    raw = path.read_bytes()
+    (hlen,) = struct.unpack_from("<I", raw, 5)
+    blob = edit(raw[9 : 9 + hlen])
+    path.write_bytes(raw[:5] + struct.pack("<I", len(blob)) + blob + raw[9 + hlen :])
+
+
+def _edit_config(**changes):
+    def edit(blob):
+        header = json.loads(blob)
+        header["config"].update(changes)
+        return json.dumps(header).encode("utf-8")
+
+    return edit
+
+
+class TestCorruptContainer:
+    """Every malformed container raises CorruptionError, never a bare Python error."""
+
+    def test_flipped_header_byte_is_not_utf8(self, tmp_path):
+        p = _saved(tmp_path)
+        raw = bytearray(p.read_bytes())
+        raw[10] ^= 0x80  # the opening quote of the first key becomes a stray continuation byte
+        p.write_bytes(bytes(raw))
+        with pytest.raises(CorruptionError, match="UTF-8"):
+            load_weights(p)
+
+    def test_header_not_json(self, tmp_path):
+        p = _saved(tmp_path)
+        raw = bytearray(p.read_bytes())
+        raw[9] ^= 0x01  # "{" -> "z"
+        p.write_bytes(bytes(raw))
+        with pytest.raises(CorruptionError, match="JSON"):
+            load_weights(p)
+
+    def test_renamed_params_field(self, tmp_path):
+        p = _saved(tmp_path)
+        _edit_header(p, lambda blob: blob.replace(b'"params"', b'"paramz"'))
+        with pytest.raises(CorruptionError, match="KeyError"):
+            load_weights(p)
+
+    def test_unknown_config_key(self, tmp_path):
+        p = _saved(tmp_path)
+        _edit_header(p, _edit_config(colour="blue"))
+        with pytest.raises(CorruptionError, match="TypeError"):
+            load_weights(p)
+
+    def test_invalid_config_value(self, tmp_path):
+        p = _saved(tmp_path)
+        _edit_header(p, _edit_config(activation="tanx"))
+        with pytest.raises(CorruptionError, match="activation"):
+            load_weights(p)
+
+    def test_header_of_wrong_type(self, tmp_path):
+        p = _saved(tmp_path)
+        _edit_header(p, lambda blob: b"[1, 2]")
+        with pytest.raises(CorruptionError, match="malformed header"):
+            load_weights(p)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_weight(self, tmp_path, bad):
+        model = build_model(SMALL, LABELS3, seed=0)
+        model.convs[1].kernels.data[2, 1, 0, 2] = bad
+        p = _saved(tmp_path, model)
+        with pytest.raises(CorruptionError, match="conv1.kernels holds NaN or Inf"):
             load_weights(p)
 
 

@@ -57,6 +57,22 @@ class TestFramePowers:
         with pytest.raises(ParameterError, match="empty"):
             frame_powers(np.zeros(0))
 
+    @pytest.mark.parametrize("n", [
+        1, 100, TRIM_FRAME - 1,              # short clips: one frame over the whole buffer
+        TRIM_FRAME, TRIM_FRAME + TRIM_HOP - 1,  # exactly one frame
+        TRIM_FRAME + TRIM_HOP, 9000, 3 * RATE,
+        int(62.5 * RATE),                    # the detection benchmark's recording
+    ])
+    def test_bitwise_equal_to_fancy_index_gather(self, n):
+        x = np.random.default_rng(n).normal(scale=0.3, size=n)
+        if n < TRIM_FRAME:
+            want = np.array([np.mean(x * x)])
+        else:
+            n_frames = 1 + (n - TRIM_FRAME) // TRIM_HOP
+            idx = np.arange(TRIM_FRAME)[None, :] + TRIM_HOP * np.arange(n_frames)[:, None]
+            want = np.mean(x[idx] * x[idx], axis=1)
+        np.testing.assert_array_equal(frame_powers(x), want)
+
 
 class TestSilenceMask:
     def test_quiet_frames_flagged(self):

@@ -85,15 +85,6 @@ def test_missing_parent_rejected():
         a.backward()
 
 
-def test_params_upstream_lists_only_trainable_leaves():
-    w = parameter(np.ones(3))
-    x = Tensor(np.ones(3))
-    loss = F.tsum(F.tanh(Tensor(w.data * x.data, parents=(w, x),
-                                backward_fn=lambda g: w.accumulate_grad(g * x.data))))
-    found = list(loss.params_upstream())
-    assert found == [w]
-
-
 def test_no_grad_flows_into_plain_tensors():
     x = Tensor(np.ones((4, 4, 1)))
     k = parameter(np.ones((2, 1, 3, 3)) * 0.1)

@@ -141,3 +141,22 @@ class TestFraming:
         x = np.ones(882)
         out = frame_and_window(x, FrameParams())
         np.testing.assert_allclose(out[0, :882], hamming(882), atol=1e-12)
+
+    @pytest.mark.parametrize("fp", [
+        FrameParams(),
+        FrameParams(window_len=400, hop=160, fft_size=512),
+        FrameParams(window_len=1024, hop=512, fft_size=1024),
+    ])
+    def test_frame_and_window_equals_two_step_construction(self, fp):
+        """Bitwise equal to windowing a copy of the frames, then appending a zero block."""
+        rng = np.random.default_rng(3)
+        for n in (fp.window_len, fp.window_len + 1, fp.window_len + fp.hop, 5000, 44100):
+            x = rng.standard_normal(n)
+            frames = frame_signal(x, fp)
+            frames *= hamming(fp.window_len)
+            if fp.fft_size > fp.window_len:
+                pad = np.zeros((frames.shape[0], fp.fft_size - fp.window_len))
+                frames = np.concatenate([frames, pad], axis=1)
+            got = frame_and_window(x, fp)
+            assert got.dtype == np.float64 and got.flags.c_contiguous
+            np.testing.assert_array_equal(got, frames)
