@@ -358,6 +358,13 @@ def save_weights(model: FcnModel, path, extras: Optional[dict] = None) -> None:
             f.write(np.ascontiguousarray(p.data, dtype="<f4").tobytes())
 
 
+def _int_tuple(values) -> tuple[int, ...]:
+    """A JSON list of extents as a tuple; 6.0 or true would compare equal to 6 or 1."""
+    if any(type(v) is not int for v in values):
+        raise TypeError(f"extents must be integers, got {values!r}")
+    return tuple(values)
+
+
 def load_weights(path) -> tuple[FcnModel, dict]:
     """Rebuild a model bit-exactly; returns (model, extras).
 
@@ -404,9 +411,9 @@ def load_weights(path) -> tuple[FcnModel, dict]:
         cfg_fields = dict(header["config"])
         cfg_fields["widths"] = tuple(cfg_fields["widths"])
         config = FcnConfig(**cfg_fields)
-        fixed_shape = tuple(header["fixed_shape"]) if header.get("fixed_shape") else None
+        fixed_shape = _int_tuple(header["fixed_shape"]) if header.get("fixed_shape") else None
         model = FcnModel(config, labels, seed=0, fixed_shape=fixed_shape)
-        declared = [(str(d["name"]), tuple(d["shape"])) for d in header["params"]]
+        declared = [(str(d["name"]), _int_tuple(d["shape"])) for d in header["params"]]
         extras = header.get("extras", {})
     except (KeyError, TypeError, ValueError, AttributeError, ConfigError) as exc:
         raise CorruptionError(f"{path}: malformed header: {type(exc).__name__}: {exc}") from exc

@@ -103,23 +103,12 @@ def conv2d(x, kernels, bias, same_padding: bool = True) -> Tensor:
             kernels.accumulate_grad(dw)
         if _needs(bias):
             bias.accumulate_grad(gflat.sum(axis=0))
-        # dx: im2col of the gradient copies 9*cout values per pixel, the scatter
-        # loop does 9 strided adds of cin; the GEMM form wins up to cout ~ 2*cin
-        if _needs(x) and cout <= 2 * cin:
+        if _needs(x):
             # correlate the gradient, padded to full size, with the flipped kernels
             q = kh - 1 - pad
             gp = _pad_hw(gd, q) if q else gd
             wflip = kernels.data[:, :, ::-1, ::-1].transpose(2, 3, 0, 1).reshape(kh * kw * cout, cin)
             dx = (_im2col(gp, kh, kw) @ wflip).reshape(b, h, w, cin)
-            x.accumulate_grad(dx[0] if squeeze else dx)
-        elif _needs(x):
-            # scatter the column gradients back, one kernel tap at a time
-            dcols = (gflat @ wmat.T).reshape(b, oh, ow, kh, kw, cin)
-            dxp = np.zeros_like(xp)
-            for i in range(kh):
-                for j in range(kw):
-                    dxp[:, i : i + oh, j : j + ow, :] += dcols[:, :, :, i, j, :]
-            dx = dxp[:, pad : pad + h, pad : pad + w, :] if pad else dxp
             x.accumulate_grad(dx[0] if squeeze else dx)
 
     return Tensor(result_data, parents=(x, kernels, bias), backward_fn=backward)

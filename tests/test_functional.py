@@ -18,8 +18,8 @@ class TestConv2d:
     @pytest.mark.parametrize("cin,cout", [(2, 1), (2, 4), (2, 5), (1, 6)])
     @pytest.mark.parametrize("ksize,same", [(3, True), (3, False), (1, True)])
     def test_input_gradient_matches_loop_reference(self, cin, cout, ksize, same):
-        """dx by either backward form (im2col GEMM up to cout = 2*cin, tap scatter
-        above) equals d/dx of sum(conv(x) * g), built from the loop oracle."""
+        """dx (im2col GEMM against the flipped kernels) equals d/dx of
+        sum(conv(x) * g), built from the loop oracle."""
         rng = np.random.default_rng(cin * 10 + cout)
         h, w = 5, 6
         x = parameter(rng.standard_normal((2, h, w, cin)), dtype=np.float64)

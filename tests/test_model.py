@@ -431,6 +431,18 @@ class TestCorruptContainer:
         with pytest.raises(CorruptionError, match="activation"):
             load_weights(p)
 
+    @pytest.mark.parametrize("shape", [[6.0, 1.0, 3.0, 3.0], [6, True, 3, 3], "6133"])
+    def test_non_integer_tensor_shape(self, tmp_path, shape):
+        def edit(blob):
+            header = json.loads(blob)
+            header["params"][0]["shape"] = shape
+            return json.dumps(header).encode("utf-8")
+
+        p = _saved(tmp_path)
+        _edit_header(p, edit)
+        with pytest.raises(CorruptionError, match="extents must be integers"):
+            load_weights(p)
+
     def test_header_of_wrong_type(self, tmp_path):
         p = _saved(tmp_path)
         _edit_header(p, lambda blob: b"[1, 2]")
