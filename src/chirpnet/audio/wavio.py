@@ -58,7 +58,7 @@ def _walk_chunks(f):
 def _parse_fmt(payload: bytes) -> tuple:
     if len(payload) < 16:
         raise CorruptionError("fmt chunk too short")
-    code, channels, rate, _, _, bits = struct.unpack("<HHIIHH", payload[:16])
+    code, channels, rate, byte_rate, block_align, bits = struct.unpack("<HHIIHH", payload[:16])
     if code not in (_FMT_PCM, _FMT_FLOAT):
         raise FormatError(f"unsupported WAV format code {code} (PCM or IEEE float only)")
     if code == _FMT_PCM and bits != 16:
@@ -67,6 +67,14 @@ def _parse_fmt(payload: bytes) -> tuple:
         raise FormatError(f"unsupported float bit depth {bits} (32-bit only)")
     if not 1 <= channels <= 2:
         raise FormatError(f"unsupported channel count {channels} (mono or stereo only)")
+    if rate == 0:
+        raise CorruptionError("fmt chunk gives a sample rate of 0 Hz")
+    block = channels * bits // 8
+    if block_align != block or byte_rate != rate * block:
+        raise CorruptionError(
+            f"fmt chunk block align {block_align} and byte rate {byte_rate} disagree with "
+            f"{channels} channel(s) of {bits} bits at {rate} Hz"
+        )
     return code, channels, rate, bits
 
 

@@ -40,7 +40,7 @@ from .nn.layers import (
     Dense,
     Dropout,
 )
-from .nn.tensor import Tensor
+from .nn.tensor import Tensor, no_grad
 
 GRID_DEPTHS = (3, 4, 6)
 GRID_WIDTHS = (100, 250, 400)
@@ -226,12 +226,16 @@ class FcnModel:
         return F.softmax(h)
 
     def forward(self, features, train_mode: bool = False) -> np.ndarray:
-        """Probability vector for one feature matrix (no gradient tracking)."""
+        """Probabilities for one (bands, frames) feature matrix, or (B, C) for a
+        (B, bands, frames) stack of them, computed under no_grad (no graph)."""
         values = features.values if isinstance(features, FeatureMatrix) else np.asarray(features)
-        if values.ndim != 2:
-            raise ShapeError(f"expected a (bands, frames) matrix, got shape {values.shape}")
-        x = Tensor(values.astype(np.float32)[:, :, None])
-        return self.forward_tensor(x, train_mode=train_mode).data
+        if values.ndim not in (2, 3):
+            raise ShapeError(
+                f"expected a (bands, frames) matrix or a stack of them, got shape {values.shape}"
+            )
+        x = Tensor(values.astype(np.float32)[..., None])
+        with no_grad():
+            return self.forward_tensor(x, train_mode=train_mode).data
 
     # -- parameters ----------------------------------------------------------
 

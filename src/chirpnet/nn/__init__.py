@@ -10,10 +10,11 @@ from .layers import (
     Dropout,
 )
 from .optim import Adam, AdamState, adam_step
-from .tensor import Tensor, parameter
+from .tensor import Tensor, no_grad, parameter
 
 __all__ = [
     "Tensor",
+    "no_grad",
     "parameter",
     "functional",
     "Activation",

@@ -4,7 +4,8 @@ All ops accept either a single feature map (H, W, C) or a batch (B, H, W, C);
 vector ops accept (C,) or (B, C). Convolutions use stride 1 with optional
 same padding and are implemented as im2col + GEMM so training stays fast on
 CPU. Each op wires a backward closure into the graph, accumulating gradients
-only into tensors that need them.
+only into tensors that need them; under ``no_grad()`` none does, and a
+convolution then builds its im2col columns a band of output rows at a time.
 """
 
 from __future__ import annotations
@@ -20,13 +21,18 @@ from ..errors import (
     ParameterError,
     ShapeError,
 )
+from . import tensor as _tensor
 from .tensor import Tensor
 
 PROB_FLOOR = 1e-12  # clamp for log of predicted probabilities
 
+# im2col buffer of a convolution that needs no gradient: output rows are
+# processed in bands whose columns fit in this many bytes (at least one row)
+CONV_BAND_BYTES = 4 << 20
+
 
 def _needs(t: Tensor) -> bool:
-    return t.requires_grad or t._backward_fn is not None
+    return _tensor.grad_enabled and (t.requires_grad or t._backward_fn is not None)
 
 
 def _as_tensor(x) -> Tensor:
@@ -53,18 +59,34 @@ def _pad_hw(x: np.ndarray, p: int) -> np.ndarray:
     return xp
 
 
-def _im2col(xp: np.ndarray, kh: int, kw: int) -> np.ndarray:
-    """(B, H, W, C) -> columns (B*OH*OW, kh*kw*C) of every valid kh x kw window."""
+def _im2col(xp: np.ndarray, kh: int, kw: int, buf: Optional[np.ndarray] = None) -> np.ndarray:
+    """(B, H, W, C) -> columns (B*OH*OW, kh*kw*C) of every valid kh x kw window.
+
+    The columns are written into the front of the flat ``buf`` when one is
+    given. With one channel they are built tap-major, one long contiguous
+    copy per tap, and returned as the transposed view of a (kh*kw, B*OH*OW)
+    array.
+    """
     b, hp, wp, c = xp.shape
-    win = sliding_window_view(xp, (kh, kw), axis=(1, 2))
-    cols = np.ascontiguousarray(win.transpose(0, 1, 2, 4, 5, 3))
-    return cols.reshape(b * (hp - kh + 1) * (wp - kw + 1), kh * kw * c)
+    oh, ow = hp - kh + 1, wp - kw + 1
+    n, k = b * oh * ow, kh * kw * c
+    flat = np.empty(n * k, dtype=xp.dtype) if buf is None else buf[: n * k]
+    win = sliding_window_view(xp, (kh, kw), axis=(1, 2))  # (B, OH, OW, C, kh, kw)
+    if c == 1:
+        np.copyto(flat.reshape(kh, kw, b, oh, ow), win[:, :, :, 0].transpose(3, 4, 0, 1, 2))
+        return flat.reshape(k, n).T
+    np.copyto(flat.reshape(b, oh, ow, kh, kw, c), win.transpose(0, 1, 2, 4, 5, 3))
+    return flat.reshape(n, k)
 
 
 def conv2d(x, kernels, bias, same_padding: bool = True) -> Tensor:
     """2-D cross-correlation over (B, H, W, Cin) with kernels (Cout, Cin, kh, kw).
 
     Same padding keeps the spatial extents; kernel sizes are square, 1 or 3.
+    When an operand needs a gradient, the whole batch is one GEMM and its
+    columns stay alive for the kernel gradient. Otherwise each image is
+    done in bands of output rows whose columns fit in CONV_BAND_BYTES, all
+    written into one reused buffer, so the columns never exceed it.
     """
     x = _as_tensor(x)
     kernels = _as_tensor(kernels)
@@ -85,14 +107,25 @@ def conv2d(x, kernels, bias, same_padding: bool = True) -> Tensor:
     xp = _pad_hw(xd, pad) if pad else xd
     oh, ow = xp.shape[1] - kh + 1, xp.shape[2] - kw + 1
 
-    cols = _im2col(xp, kh, kw)
     wmat = kernels.data.transpose(2, 3, 1, 0).reshape(kh * kw * cin, cout)
-    out = cols @ wmat
+    out = np.empty((b, oh, ow, cout), dtype=np.result_type(xp, wmat))
+    tracked = _needs(x) or _needs(kernels) or _needs(bias)
+    if tracked:
+        images, rows, buf = [slice(0, b)], oh, None
+    else:
+        row_bytes = ow * kh * kw * cin * xp.itemsize
+        images = [slice(i, i + 1) for i in range(b)]
+        rows = min(oh, max(1, CONV_BAND_BYTES // row_bytes))
+        buf = np.empty(rows * ow * kh * kw * cin, dtype=xp.dtype)
+    for img in images:
+        for r in range(0, oh, rows):
+            band = slice(r, min(r + rows, oh))
+            cols = _im2col(xp[img, r : band.stop + kh - 1], kh, kw, buf)
+            np.matmul(cols, wmat, out=out[img, band].reshape(-1, cout))
     out += bias.data
-    out = out.reshape(b, oh, ow, cout)
 
     result_data = out[0] if squeeze else out
-    if not (_needs(x) or _needs(kernels) or _needs(bias)):
+    if not tracked:
         return Tensor(result_data)
 
     def backward(g: np.ndarray) -> None:
@@ -398,27 +431,3 @@ def tsum(x) -> Tensor:
 
     return Tensor(out, parents=(x,), backward_fn=backward)
 
-
-def slope_recovery(slopes, n: float) -> Tensor:
-    """Optional regularizer 1 / mean(exp(n * a_k)) over the layer slopes.
-
-    Decreases when slopes grow, nudging adaptive activations away from
-    collapse. Off by default in training; exposed for experimentation.
-    """
-    ts = [_as_tensor(a) for a in slopes]
-    if not ts:
-        raise ParameterError("slope_recovery needs at least one slope")
-    vals = np.array([float(t.data.reshape(())) for t in ts])
-    exps = np.exp(n * vals)
-    s = exps.mean()
-    out = np.asarray(1.0 / s, dtype=ts[0].dtype)
-    if not any(_needs(t) for t in ts):
-        return Tensor(out)
-
-    def backward(g: np.ndarray) -> None:
-        coeff = -float(g) * n / (len(ts) * s * s)
-        for t, e in zip(ts, exps):
-            if _needs(t):
-                t.accumulate_grad(np.asarray(coeff * e, dtype=t.dtype).reshape(t.shape))
-
-    return Tensor(out, parents=tuple(ts), backward_fn=backward)

@@ -5,15 +5,36 @@ A Tensor wraps a numpy array plus an optional gradient buffer. Operations in
 on a scalar loss walks the graph in reverse topological order and accumulates
 gradients into every node that requires them. The op set is deliberately
 small (just what the network needs), not a general-purpose autograd.
+
+Inside ``with no_grad():`` no op records a graph node: every result is a
+bare Tensor, whatever its operands, so forward-only passes keep nothing
+alive for a backward pass that will not come. ``backward()`` belongs
+outside it: the backward closures read the same flag.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from ..errors import GraphError
+
+# False inside no_grad(); the ops in functional read it through _needs
+grad_enabled = True
+
+
+@contextmanager
+def no_grad():
+    """Ops build no graph until the block exits; nests, and restores the flag on error."""
+    global grad_enabled
+    previous = grad_enabled
+    grad_enabled = False
+    try:
+        yield
+    finally:
+        grad_enabled = previous
 
 
 class Tensor:

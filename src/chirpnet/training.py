@@ -26,7 +26,10 @@ from .metrics import EvalReport, evaluate_predictions
 from .model import FcnConfig, FcnModel, build_model
 from .nn import functional as F
 from .nn.optim import Adam
-from .nn.tensor import Tensor
+from .nn.tensor import Tensor, no_grad
+
+# evaluate() forwards equal-shaped clips in stacks of at most this many input values
+EVAL_BATCH_VALUES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -168,12 +171,13 @@ def _batch_eval(model: FcnModel, x: np.ndarray, y: np.ndarray, batch_size: int):
     """Loss and accuracy over a stacked set in eval mode."""
     losses = []
     correct = 0
-    for i in range(0, x.shape[0], batch_size):
-        xb, yb = x[i : i + batch_size], y[i : i + batch_size]
-        probs = model.forward_tensor(Tensor(xb), train_mode=False)
-        loss = F.cross_entropy_mean(probs, yb)
-        losses.append(float(loss.data) * xb.shape[0])
-        correct += int((probs.data.argmax(axis=1) == yb).sum())
+    with no_grad():
+        for i in range(0, x.shape[0], batch_size):
+            xb, yb = x[i : i + batch_size], y[i : i + batch_size]
+            probs = model.forward_tensor(Tensor(xb), train_mode=False)
+            loss = F.cross_entropy_mean(probs, yb)
+            losses.append(float(loss.data) * xb.shape[0])
+            correct += int((probs.data.argmax(axis=1) == yb).sum())
     return sum(losses) / x.shape[0], correct / x.shape[0]
 
 
@@ -256,16 +260,27 @@ def evaluate(
     test_set: list[tuple],
     labels: list[str],
 ) -> EvalReport:
-    """Variable-length evaluation: each clip's features at natural length."""
+    """Variable-length evaluation: each clip's features at natural length.
+
+    Clips whose matrices share a shape are forwarded together, in stacks of
+    at most EVAL_BATCH_VALUES input values.
+    """
     if not test_set:
         raise ParameterError("test set is empty")
-    y_true = []
-    y_pred = []
-    for features, label in test_set:
-        probs = model.forward(features, train_mode=False)
-        y_true.append(label)
-        y_pred.append(int(probs.argmax()))
-    return evaluate_predictions(y_true, y_pred, labels)
+    values = [f.values if isinstance(f, FeatureMatrix) else np.asarray(f) for f, _ in test_set]
+    groups: dict[tuple, list[int]] = {}
+    for i, v in enumerate(values):
+        if v.ndim != 2:
+            raise ShapeError(f"expected a (bands, frames) matrix, got shape {v.shape}")
+        groups.setdefault(v.shape, []).append(i)
+    y_pred = np.empty(len(values), dtype=np.intp)
+    for shape, members in groups.items():
+        per_stack = max(1, EVAL_BATCH_VALUES // (shape[0] * shape[1]))
+        for start in range(0, len(members), per_stack):
+            part = members[start : start + per_stack]
+            probs = model.forward(np.stack([values[i] for i in part]), train_mode=False)
+            y_pred[part] = probs.argmax(axis=1)
+    return evaluate_predictions([label for _, label in test_set], y_pred.tolist(), labels)
 
 
 # -- cross-validation over audio clips ------------------------------------------

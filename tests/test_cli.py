@@ -328,6 +328,22 @@ class TestExitCodes:
         assert rc == 3
         assert "error:" in capsys.readouterr().err
 
+    def test_zero_hz_wav_in_manifest(self, tmp_path, capsys):
+        write_corpus(tmp_path, n_per_class=2)
+        bad = tmp_path / "tone-low" / "tone-low-0.wav"
+        raw = bytearray(bad.read_bytes())
+        raw[24:28] = bytes(4)  # sample rate field of the fmt chunk
+        bad.write_bytes(bytes(raw))
+        wavs = sorted(tmp_path.glob("*/*.wav"))
+        rows = [f"{p.relative_to(tmp_path)},{p.parent.name}" for p in wavs]
+        manifest = tmp_path / "manifest.csv"
+        manifest.write_text("path,species\n" + "\n".join(rows) + "\n")
+        rc = main(["train", str(manifest), "--output", str(tmp_path / "m.fcnw")])
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert "0 Hz" in err
+        assert "Traceback" not in err
+
     def test_bad_value(self, capsys):
         rc = main([
             "features", "whatever.csv", "--output-dir", "x", "--fft-size", "1000"

@@ -11,7 +11,7 @@ from chirpnet.errors import (
     ShapeError,
 )
 from chirpnet.nn import functional as F
-from chirpnet.nn.tensor import Tensor, parameter
+from chirpnet.nn.tensor import Tensor, no_grad, parameter
 
 
 class TestConv2d:
@@ -70,6 +70,42 @@ class TestConv2d:
         batched = F.conv2d(x, k, b).data
         for i in range(3):
             np.testing.assert_allclose(batched[i], F.conv2d(x[i], k, b).data)
+
+    @pytest.mark.parametrize(
+        "cin,ksize,same", [(1, 3, True), (4, 3, True), (4, 3, False), (4, 1, True)]
+    )
+    @pytest.mark.parametrize("rows", [1, 3])
+    def test_graph_free_bands_equal_the_single_gemm(self, monkeypatch, cin, ksize, same, rows):
+        """Bands of 1 row, and of 3 rows (which divides neither 13 nor 11 output
+        rows), cover every output pixel once: they equal the batch-wide GEMM of
+        the graph-building path and the loop oracle. Small integers keep every
+        sum exact, whatever order a GEMM of a given size adds in."""
+        rng = np.random.default_rng(cin * 10 + ksize + rows)
+        x = rng.integers(-4, 5, size=(2, 13, 9, cin)).astype(np.float32)
+        k = parameter(rng.integers(-4, 5, size=(5, cin, ksize, ksize)))
+        b = parameter(rng.integers(-4, 5, size=5))
+        whole = F.conv2d(x, k, b, same_padding=same)
+        assert whole._backward_fn is not None
+        oh, ow = whole.shape[1:3]
+        assert oh % 3
+        row_bytes = ow * ksize * ksize * cin * x.itemsize
+        monkeypatch.setattr(F, "CONV_BAND_BYTES", rows * row_bytes + row_bytes // 2)
+        calls = []
+        matmul = np.matmul
+
+        def counted(a, w, out):
+            calls.append(a.shape[0])
+            return matmul(a, w, out=out)
+
+        monkeypatch.setattr(np, "matmul", counted)
+        with no_grad():
+            banded = F.conv2d(x, k, b, same_padding=same)
+        assert banded._backward_fn is None
+        assert calls == 2 * ([rows * ow] * (oh // rows) + [(oh % rows) * ow] * bool(oh % rows))
+        np.testing.assert_array_equal(banded.data, whole.data)
+        for i in range(2):
+            want = oracles.naive_conv2d(x[i], k.data, b.data, same_padding=same)
+            np.testing.assert_array_equal(banded.data[i], want)
 
     def test_rejects_even_or_large_kernels(self):
         x = np.zeros((4, 4, 1))
@@ -304,11 +340,28 @@ class TestDenseAndShape:
         assert out.shape == (2, 12)
         np.testing.assert_array_equal(out.reshape(x.shape), x)
 
-    def test_slope_recovery_decreases_as_slopes_grow(self):
-        small = float(F.slope_recovery([np.asarray(0.1)] * 3, n=10.0).data)
-        large = float(F.slope_recovery([np.asarray(0.5)] * 3, n=10.0).data)
-        assert large < small
 
-    def test_slope_recovery_needs_slopes(self):
-        with pytest.raises(ParameterError):
-            F.slope_recovery([], n=10.0)
+def _op_results(x, k, b, a, probs):
+    """One result of every op, for inputs that would all want gradients."""
+    conv = F.conv2d(x, k, b)
+    pooled = F.maxpool2(conv)
+    gap = F.global_avg_pool(pooled)
+    return [
+        conv, pooled, gap, F.relu(pooled), F.tanh(pooled), F.adaptive(pooled, a, 10.0),
+        F.softmax(gap), F.cross_entropy_mean(probs, [1]),
+        F.dropout(gap, 0.5, True, np.random.default_rng(0)), F.dropout(gap, 0.5, False),
+        F.flatten(pooled), F.dense(gap, k.data.reshape(3, 9)[:, :2], b.data[:2]), F.tsum(gap),
+    ]
+
+
+def test_no_grad_results_carry_no_backward_closure():
+    rng = np.random.default_rng(3)
+    x = parameter(rng.standard_normal((1, 6, 6, 1)))
+    k = parameter(rng.standard_normal((3, 1, 3, 3)))
+    b = parameter(rng.standard_normal(3))
+    a = parameter(0.1)
+    probs = parameter([[0.2, 0.8]])
+    assert all(r._backward_fn is not None for r in _op_results(x, k, b, a, probs))
+    with no_grad():
+        results = _op_results(x, k, b, a, probs)
+    assert all(r._backward_fn is None and not r.requires_grad for r in results)

@@ -10,12 +10,20 @@ from chirpnet.audio.manifest import (
     write_manifest,
 )
 from chirpnet.audio.wavio import write_wav
-from chirpnet.errors import ValidationError
+from chirpnet.errors import CorruptionError, ValidationError
 
 
 def make_wavs(root, names, seconds=0.1, rate=44100):
     for name in names:
         write_wav(root / name, np.zeros(int(seconds * rate)), rate)
+
+
+def zero_hz_wav(path):
+    """A valid mono PCM16 file whose fmt chunk then gets a sample rate of 0 Hz."""
+    write_wav(path, np.full(4410, 0.25), 44100)
+    raw = bytearray(path.read_bytes())
+    raw[24:28] = bytes(4)  # sample rate field of the fmt chunk
+    path.write_bytes(bytes(raw))
 
 
 class TestDatasetManifest:
@@ -109,6 +117,13 @@ class TestLoadManifest:
     def test_missing_audio_file(self, tmp_path):
         (tmp_path / "data.csv").write_text("path,species\nghost.wav,wren\n")
         with pytest.raises(ValidationError, match="missing audio file"):
+            load_manifest(tmp_path / "data.csv")
+
+    def test_zero_hz_header_rejected(self, tmp_path):
+        make_wavs(tmp_path, ["a.wav"])
+        zero_hz_wav(tmp_path / "b.wav")
+        (tmp_path / "data.csv").write_text("path,species\na.wav,wren\nb.wav,finch\n")
+        with pytest.raises(CorruptionError, match="0 Hz"):
             load_manifest(tmp_path / "data.csv")
 
     def test_check_files_off_skips_probe(self, tmp_path):

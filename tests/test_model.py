@@ -3,6 +3,7 @@
 import json
 from dataclasses import replace
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,7 +29,7 @@ from chirpnet.model import (
 )
 from chirpnet.nn import functional as F
 from chirpnet.nn.layers import Activation, AdaptiveActivation
-from chirpnet.nn.tensor import Tensor
+from chirpnet.nn.tensor import Tensor, no_grad
 
 SMALL = FcnConfig(depth=3, widths=(6, 6, 3), activation="tanh", n_classes=3, enforce_grid=False)
 LABELS3 = ["a", "b", "c"]
@@ -211,6 +212,80 @@ class TestPoolFirst:
         # pooling first under a decreasing activation would change the answer
         monkeypatch.setattr(AdaptiveActivation, "monotone", True)
         assert not np.array_equal(model.forward(x), got)
+
+
+def tracked_forward(model, x):
+    """Forward that builds the graph (the parameters require gradients)."""
+    probs = model.forward_tensor(Tensor(x[..., None].astype(np.float32)))
+    assert probs._backward_fn is not None
+    return probs.data
+
+
+class TestGraphFree:
+    """model.forward runs under no_grad: no graph, banded convolutions, same numbers."""
+
+    @pytest.mark.parametrize("activation", ["relu", "tanh", "adaptive"])
+    def test_canonical_chunk_bitwise_equal(self, activation):
+        model = build_model(canonical_config(activation=activation), [f"s{i}" for i in range(17)],
+                            seed=5)
+        x = np.random.default_rng(11).normal(-50.0, 20.0, size=(128, 299)).astype(np.float32)
+        np.testing.assert_array_equal(model.forward(x), tracked_forward(model, x))
+
+    def test_canonical_batch_of_three_bitwise_equal(self):
+        model = build_model(canonical_config(), [f"s{i}" for i in range(17)], seed=5)
+        x = np.random.default_rng(12).normal(-50.0, 20.0, size=(3, 64, 101)).astype(np.float32)
+        np.testing.assert_array_equal(model.forward(x), tracked_forward(model, x))
+
+    @pytest.mark.parametrize("activation", ["relu", "tanh", "adaptive"])
+    @pytest.mark.parametrize("shape", [(33, 71), (17, 40)])
+    def test_desk_model_bitwise_equal(self, activation, shape):
+        model = build_model(replace(DESK, activation=activation), list("abcd"), seed=2)
+        rng = np.random.default_rng(sum(shape))
+        single = rng.normal(size=shape)
+        batch = rng.normal(size=(3, *shape))
+        np.testing.assert_array_equal(model.forward(single), tracked_forward(model, single))
+        np.testing.assert_array_equal(model.forward(batch), tracked_forward(model, batch))
+
+    def test_stack_equals_one_matrix_at_a_time(self):
+        """Convolutions without a graph run image by image, so a stack's rows are
+        bitwise the single-matrix results (evaluate relies on this)."""
+        model = build_model(DESK, list("abcd"), seed=2)
+        stack = np.random.default_rng(9).normal(size=(5, 32, 199))
+        np.testing.assert_array_equal(model.forward(stack), [model.forward(m) for m in stack])
+
+    def test_rejects_other_ranks(self):
+        model = build_model(DESK, list("abcd"), seed=2)
+        with pytest.raises(ShapeError, match="stack"):
+            model.forward(np.zeros((1, 2, 32, 40)))
+
+    def test_forward_keeps_no_graph(self, monkeypatch):
+        model = build_model(DESK, list("abcd"), seed=2)
+        seen = []
+        softmax = F.softmax
+
+        def spy(h):
+            seen.append(h)
+            return softmax(h)
+
+        monkeypatch.setattr(F, "softmax", spy)
+        model.forward(np.zeros((32, 40)))
+        assert seen[0]._backward_fn is None and seen[0]._parents == ()
+        with no_grad():
+            assert model.forward_tensor(Tensor(np.zeros((32, 40, 1)))).data.shape == (4,)
+        model.forward_tensor(Tensor(np.zeros((32, 40, 1))))
+        assert seen[-1]._backward_fn is not None
+
+    def test_canonical_chunk_peak_memory(self):
+        model = build_model(canonical_config(), [f"s{i}" for i in range(17)], seed=5)
+        x = np.random.default_rng(11).normal(-50.0, 20.0, size=(128, 299)).astype(np.float32)
+        model.forward(x)
+        tracemalloc.start()
+        try:
+            model.forward(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 48 * 2**20
 
 
 class TestDenseHead:

@@ -5,7 +5,8 @@ import pytest
 
 from chirpnet.errors import GraphError
 from chirpnet.nn import functional as F
-from chirpnet.nn.tensor import Tensor, parameter
+from chirpnet.nn import tensor as tensor_module
+from chirpnet.nn.tensor import Tensor, no_grad, parameter
 
 
 def test_int_input_promoted_to_float():
@@ -102,3 +103,31 @@ def test_topo_order_handles_deep_chains_iteratively():
         node = F.tanh(node)
     F.tsum(node).backward()
     assert x.grad is not None and np.all(np.isfinite(x.grad))
+
+
+def test_no_grad_builds_no_graph():
+    x = parameter([1.0, -2.0], dtype=np.float64)
+    with no_grad():
+        loss = F.tsum(F.tanh(x))
+    assert loss._backward_fn is None and loss._parents == ()
+    loss = F.tsum(F.tanh(x))
+    assert loss._backward_fn is not None
+    loss.backward()
+    np.testing.assert_allclose(x.grad, 1.0 - np.tanh([1.0, -2.0]) ** 2)
+
+
+def test_no_grad_nests_and_restores_after_an_error():
+    assert tensor_module.grad_enabled
+    with pytest.raises(RuntimeError, match="inner"):
+        with no_grad():
+            with no_grad():
+                assert not tensor_module.grad_enabled
+            assert not tensor_module.grad_enabled
+            raise RuntimeError("inner")
+    assert tensor_module.grad_enabled
+    with no_grad():
+        with pytest.raises(ValueError):
+            with no_grad():
+                raise ValueError
+        assert not tensor_module.grad_enabled
+    assert tensor_module.grad_enabled

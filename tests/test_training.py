@@ -23,6 +23,9 @@ from chirpnet.training import (
 TINY_CONFIG = FcnConfig(
     depth=3, widths=(4, 4, 2), activation="tanh", n_classes=2, enforce_grid=False
 )
+DESK_MODEL = FcnConfig(
+    depth=4, widths=(8, 16, 8, 4), activation="adaptive", n_classes=4, enforce_grid=False
+)
 
 
 def blob_features(label, rng, bands=8, frames=8):
@@ -164,15 +167,16 @@ class TestTrainOne:
 
 
 class _FirstCellOracle:
-    """Stub classifier: reads the class index planted in features[0, 0]."""
+    """Stub classifier: reads the class index planted in each matrix's [0, 0]."""
 
     def __init__(self, n_classes):
         self.n_classes = n_classes
 
     def forward(self, features, train_mode=False):
-        probs = np.zeros(self.n_classes)
-        probs[int(features[0, 0]) % self.n_classes] = 1.0
-        return probs
+        stack = np.asarray(features).reshape(-1, *np.shape(features)[-2:])
+        probs = np.zeros((len(stack), self.n_classes))
+        probs[np.arange(len(stack)), stack[:, 0, 0].astype(int) % self.n_classes] = 1.0
+        return probs if np.ndim(features) == 3 else probs[0]
 
 
 class TestEvaluate:
@@ -194,6 +198,24 @@ class TestEvaluate:
     def test_empty_rejected(self):
         with pytest.raises(ParameterError, match="empty"):
             evaluate(_FirstCellOracle(2), [], ["a", "b"])
+
+    @pytest.mark.parametrize("batch_values", [1, 3 * 32 * 40, 1 << 16])
+    def test_stacks_equal_clip_by_clip(self, monkeypatch, batch_values):
+        """Grouping equal shapes into stacks changes no prediction: clips of
+        three lengths, interleaved, in stacks of 1, 3 or all of a shape."""
+        monkeypatch.setattr(training, "EVAL_BATCH_VALUES", batch_values)
+        model = build_model(DESK_MODEL, list("abcd"), seed=4)
+        rng = np.random.default_rng(8)
+        test_set = [(rng.normal(size=(32, (40, 57, 199)[i % 3])), i % 4) for i in range(14)]
+        report = evaluate(model, test_set, list("abcd"))
+        one_by_one = [int(model.forward(f).argmax()) for f, _ in test_set]
+        want = training.evaluate_predictions([y for _, y in test_set], one_by_one, list("abcd"))
+        np.testing.assert_array_equal(report.confusion, want.confusion)
+        assert report.accuracy == want.accuracy
+
+    def test_rejects_a_non_matrix(self):
+        with pytest.raises(ShapeError, match="matrix"):
+            evaluate(_FirstCellOracle(2), [(np.zeros(16), 0)], ["a", "b"])
 
 
 class TestFeatureSpec:

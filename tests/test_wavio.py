@@ -14,9 +14,13 @@ def sine(n=2000, freq=880.0, rate=44100):
     return 0.6 * np.sin(2 * np.pi * freq * t)
 
 
-def fmt_chunk(code=1, channels=1, rate=8000, bits=16):
-    block = channels * bits // 8
-    body = struct.pack("<HHIIHH", code, channels, rate, rate * block, block, bits)
+def fmt_chunk(code=1, channels=1, rate=8000, bits=16, byte_rate=None, block=None):
+    """fmt chunk; block align and byte rate follow from the rest unless given."""
+    if block is None:
+        block = channels * bits // 8
+    if byte_rate is None:
+        byte_rate = rate * channels * bits // 8
+    body = struct.pack("<HHIIHH", code, channels, rate, byte_rate, block, bits)
     return b"fmt " + struct.pack("<I", len(body)) + body
 
 
@@ -191,6 +195,27 @@ class TestErrors:
         p = tmp_path / "nofmt.wav"
         p.write_bytes(riff(data_chunk(b"\x00\x00")))
         with pytest.raises(CorruptionError, match="no fmt chunk"):
+            read_wav(p)
+
+    @pytest.mark.parametrize(
+        "fmt, message",
+        [
+            (fmt_chunk(rate=0), "0 Hz"),
+            (fmt_chunk(code=3, channels=2, rate=0, bits=32), "0 Hz"),
+            (fmt_chunk(block=4), "block align 4"),
+            (fmt_chunk(channels=2, block=2), "block align 2"),
+            (fmt_chunk(byte_rate=8000), "byte rate 8000"),
+            (fmt_chunk(code=3, bits=32, byte_rate=16000), "byte rate 16000"),
+        ],
+        ids=["pcm-0hz", "float-stereo-0hz", "block-align-4", "stereo-block-align-2",
+             "byte-rate-8000", "float-byte-rate-16000"],
+    )
+    def test_inconsistent_fmt_header_rejected(self, tmp_path, fmt, message):
+        p = tmp_path / "badfmt.wav"
+        p.write_bytes(riff(fmt + data_chunk(struct.pack("<4h", 1, 2, 3, 4))))
+        with pytest.raises(CorruptionError, match=message):
+            wav_info(p)
+        with pytest.raises(CorruptionError, match=message):
             read_wav(p)
 
     def test_write_rejects_bad_shape(self, tmp_path):
