@@ -8,6 +8,7 @@ Durations come from WAV headers at load time, never from the CSV.
 from __future__ import annotations
 
 import csv
+import io
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -55,29 +56,43 @@ def _labels_path(manifest_path) -> Path:
     return p.with_suffix(p.suffix + ".labels")
 
 
+def _read_utf8(path: Path) -> str:
+    """The file's text, newlines untranslated; ValidationError if it is not UTF-8."""
+    try:
+        return path.read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: not UTF-8 text ({exc})") from exc
+
+
 def load_manifest(path, check_files: bool = True) -> DatasetManifest:
     """Read a `path,species` CSV, applying the label sidecar when present.
 
     Validates that each audio file exists and has a decodable header,
     filling in durations. Duplicate path rows collapse to the first with a
-    warning stating how many were dropped.
+    warning stating how many were dropped. Text that is not UTF-8, a path
+    with a NUL byte and a species listed twice in the sidecar raise
+    ValidationError.
     """
     p = Path(path)
+    try:
+        table = list(csv.reader(io.StringIO(_read_utf8(p), newline="")))
+    except csv.Error as exc:
+        raise ValidationError(f"{p}: unreadable CSV ({exc})") from exc
     rows: list[tuple[str, str]] = []
-    with open(p, newline="", encoding="utf-8") as f:
-        reader = csv.reader(f)
-        header = next(reader, None)
-        if header is not None:
-            if [c.strip().lower() for c in header[:2]] != ["path", "species"]:
-                raise ValidationError(
-                    f"{p}: expected header 'path,species', got {','.join(header)!r}"
-                )
-            for lineno, row in enumerate(reader, start=2):
-                if not row or all(not c.strip() for c in row):
-                    continue
-                if len(row) < 2:
-                    raise ValidationError(f"{p}:{lineno}: row needs path and species")
-                rows.append((row[0].strip(), row[1].strip()))
+    if table:
+        header = table[0]
+        if [c.strip().lower() for c in header[:2]] != ["path", "species"]:
+            raise ValidationError(
+                f"{p}: expected header 'path,species', got {','.join(header)!r}"
+            )
+        for lineno, row in enumerate(table[1:], start=2):
+            if not row or all(not c.strip() for c in row):
+                continue
+            if len(row) < 2:
+                raise ValidationError(f"{p}:{lineno}: row needs path and species")
+            if "\0" in row[0]:
+                raise ValidationError(f"{p}:{lineno}: path contains a NUL byte")
+            rows.append((row[0].strip(), row[1].strip()))
 
     seen = set()
     deduped = []
@@ -93,11 +108,11 @@ def load_manifest(path, check_files: bool = True) -> DatasetManifest:
     labels_file = _labels_path(p)
     if labels_file.exists():
         label_set = [
-            line.strip()
-            for line in labels_file.read_text(encoding="utf-8").splitlines()
-            if line.strip()
+            line.strip() for line in _read_utf8(labels_file).splitlines() if line.strip()
         ]
         known = set(label_set)
+        if len(known) != len(label_set):
+            raise ValidationError(f"{labels_file}: a species is listed more than once")
         for path_str, species in deduped:
             if species not in known:
                 raise ValidationError(
@@ -113,7 +128,7 @@ def load_manifest(path, check_files: bool = True) -> DatasetManifest:
             audio_path = p.parent / audio_path
         duration = None
         if check_files:
-            if not audio_path.exists():
+            if not audio_path.is_file():
                 raise ValidationError(f"{p}: missing audio file {path_str}")
             duration = wav_info(audio_path).duration
         entries.append(ManifestEntry(path=path_str, species=species, duration=duration))

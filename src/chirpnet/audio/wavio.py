@@ -109,6 +109,7 @@ def read_wav(path) -> tuple[np.ndarray, int]:
     """Decode to float64 in [-1, 1]: (samples, sample_rate).
 
     Mono returns shape (n,), stereo (n, 2). 16-bit PCM scales by 1/32768.
+    Float data holding NaN or infinite samples is rejected.
     """
     with open(path, "rb") as f:
         fmt = None
@@ -128,6 +129,8 @@ def read_wav(path) -> tuple[np.ndarray, int]:
         samples = raw.astype(np.float64) / 32768.0
     else:
         raw = np.frombuffer(data[: len(data) - len(data) % (4 * channels)], dtype="<f4")
+        if not np.isfinite(raw).all():
+            raise CorruptionError("float WAV data holds NaN or infinite samples")
         samples = raw.astype(np.float64)
     if channels == 2:
         samples = samples.reshape(-1, 2)

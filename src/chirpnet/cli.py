@@ -1,8 +1,8 @@
 """Command-line entry point.
 
 Subcommands cover the whole workflow: fetch recordings, prepare audio,
-extract features, train and evaluate models, sweep architectures, study
-clip durations, scan long recordings for events, and verify gradients.
+train and evaluate models, sweep architectures, study clip durations,
+scan long recordings for events, and verify gradients.
 Each failure class maps to its own exit code (see the --help epilog).
 """
 
@@ -22,7 +22,6 @@ from .audio.manifest import DatasetManifest, ManifestEntry, load_manifest, write
 from .audio.preprocess import DEFAULT_MAX_SECONDS, DEFAULT_TOP_DB, cap_duration, trim_silence
 from .audio.wavio import write_wav
 from .detect import ChunkParams, detect, format_timeline, merge_events
-from .dsp.features import save_features
 from .dsp.windowing import FrameParams
 from .errors import (
     ConfigError,
@@ -258,20 +257,6 @@ def cmd_prepare(args) -> int:
     return EXIT_OK
 
 
-def cmd_features(args) -> int:
-    spec = _spec_from_args(args)
-    manifest = load_manifest(args.manifest)
-    out_root = Path(args.output_dir)
-    for e in manifest.entries:
-        clip = decode_audio(_entry_path(args.manifest, e))
-        matrix = spec.extract(clip)
-        dest = out_root / e.species / (Path(e.path).stem + ".chft")
-        dest.parent.mkdir(parents=True, exist_ok=True)
-        save_features(matrix, dest)
-    print(f"wrote {len(manifest.entries)} feature files under {out_root}")
-    return EXIT_OK
-
-
 def cmd_train(args) -> int:
     spec = _spec_from_args(args)
     tc = _train_config_from_args(args)
@@ -450,11 +435,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     sp.add_argument("--top-db", type=float, default=DEFAULT_TOP_DB,
                     help="keep frames within this many dB of the loudest")
     sp.add_argument("--max-seconds", type=float, default=DEFAULT_MAX_SECONDS)
-
-    sp = add("features", cmd_features, "extract and store feature matrices")
-    sp.add_argument("manifest")
-    sp.add_argument("--output-dir", required=True)
-    _add_feature_args(sp)
 
     sp = add("train", cmd_train, "cross-validate and save the last fold's model")
     sp.add_argument("manifest")

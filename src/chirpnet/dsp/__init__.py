@@ -5,14 +5,11 @@ from .features import (
     ENERGY_FLOOR,
     FeatureMatrix,
     Standardizer,
-    cache_key,
     dct_cepstrum,
     default_filterbank,
     extract_features,
-    load_features,
     mel_spectrogram,
     mfcc,
-    save_features,
 )
 from .fft import fft, power_spectrum
 from .mel import MelFilterbank, build_filterbank, filterbank_energies, mel_scale, mel_to_hz
@@ -29,14 +26,11 @@ __all__ = [
     "ENERGY_FLOOR",
     "FeatureMatrix",
     "Standardizer",
-    "cache_key",
     "dct_cepstrum",
     "default_filterbank",
     "extract_features",
-    "load_features",
     "mel_spectrogram",
     "mfcc",
-    "save_features",
     "fft",
     "power_spectrum",
     "MelFilterbank",

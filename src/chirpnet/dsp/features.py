@@ -8,15 +8,12 @@ convert frame indices to seconds.
 
 from __future__ import annotations
 
-import hashlib
-import json
-import struct
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from ..errors import CorruptionError, FormatError, ParameterError, ShapeError
+from ..errors import CorruptionError, ParameterError, ShapeError
 from .fft import power_spectrum
 from .mel import MelFilterbank, build_filterbank, filterbank_energies
 from .windowing import FrameParams, frame_and_window, preemphasis
@@ -24,8 +21,6 @@ from .windowing import FrameParams, frame_and_window, preemphasis
 DB_FLOOR = -100.0
 ENERGY_FLOOR = 1e-10
 KINDS = ("mel-db", "mfcc")
-_CACHE_MAGIC = b"CHFT"
-_CACHE_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -198,65 +193,3 @@ class Standardizer:
         s.mean, s.std = mean, std
         return s
 
-
-# -- cache files ---------------------------------------------------------------
-
-
-def save_features(matrix: FeatureMatrix, path) -> None:
-    """Write a feature matrix: magic, version, JSON header, float32 rows."""
-    header = {
-        "kind": matrix.kind,
-        "bands": matrix.bands,
-        "frames": matrix.frames,
-        "window_len": matrix.frame_params.window_len,
-        "hop": matrix.frame_params.hop,
-        "fft_size": matrix.frame_params.fft_size,
-        "sample_rate": matrix.sample_rate,
-    }
-    blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as f:
-        f.write(_CACHE_MAGIC)
-        f.write(struct.pack("<B", _CACHE_VERSION))
-        f.write(struct.pack("<I", len(blob)))
-        f.write(blob)
-        f.write(np.ascontiguousarray(matrix.values, dtype="<f4").tobytes())
-
-
-def load_features(path) -> FeatureMatrix:
-    with open(path, "rb") as f:
-        raw = f.read()
-    if len(raw) < 9 or raw[:4] != _CACHE_MAGIC:
-        raise FormatError(f"{path}: not a feature cache file")
-    version = raw[4]
-    if version != _CACHE_VERSION:
-        raise FormatError(f"{path}: unsupported cache version {version}")
-    (hlen,) = struct.unpack_from("<I", raw, 5)
-    if len(raw) < 9 + hlen:
-        raise CorruptionError(f"{path}: truncated header")
-    header = json.loads(raw[9 : 9 + hlen].decode("utf-8"))
-    bands, frames = header["bands"], header["frames"]
-    body = raw[9 + hlen :]
-    expected = bands * frames * 4
-    if len(body) != expected:
-        raise CorruptionError(
-            f"{path}: payload holds {len(body)} bytes, header implies {expected}"
-        )
-    values = np.frombuffer(body, dtype="<f4").astype(np.float64).reshape(bands, frames)
-    fp = FrameParams(
-        window_len=header["window_len"], hop=header["hop"], fft_size=header["fft_size"]
-    )
-    return FeatureMatrix(
-        values=values, kind=header["kind"], frame_params=fp, sample_rate=header["sample_rate"]
-    )
-
-
-def cache_key(source_path, kind: str, fp: FrameParams, **params) -> str:
-    """Content hash of the source file plus every extraction parameter."""
-    h = hashlib.sha256()
-    with open(source_path, "rb") as f:
-        for block in iter(lambda: f.read(1 << 20), b""):
-            h.update(block)
-    tag = {"kind": kind, "window_len": fp.window_len, "hop": fp.hop, "fft_size": fp.fft_size}
-    tag.update(params)
-    h.update(json.dumps(tag, sort_keys=True).encode("utf-8"))
-    return h.hexdigest()

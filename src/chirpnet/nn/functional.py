@@ -237,8 +237,8 @@ def tanh(x) -> Tensor:
     return Tensor(out, parents=(x,), backward_fn=backward)
 
 
-def adaptive(x, a, n: float, base: str = "tanh") -> Tensor:
-    """Trainable-slope activation base(n * a * x) with scalar slope ``a``."""
+def adaptive(x, a, n: float) -> Tensor:
+    """Trainable-slope activation tanh(n * a * x) with scalar slope ``a``."""
     x = _as_tensor(x)
     a = _as_tensor(a)
     if a.size != 1:
@@ -246,20 +246,12 @@ def adaptive(x, a, n: float, base: str = "tanh") -> Tensor:
     if n <= 0:
         raise ParameterError("slope scale n must be positive")
     aval = float(a.data.reshape(()))
-    s = n * aval * x.data
-    if base == "tanh":
-        out = np.tanh(s)
-    elif base == "relu":
-        out = np.maximum(s, 0)
-    else:
-        raise ParameterError(f"unknown base nonlinearity {base!r}")
+    out = np.tanh(n * aval * x.data)
     if not (_needs(x) or _needs(a)):
         return Tensor(out)
 
     def backward(g: np.ndarray) -> None:
-        # base'(s), computed only when a gradient is asked for
-        dbase = 1.0 - out * out if base == "tanh" else (out > 0).astype(x.dtype)
-        gb = g * dbase
+        gb = g * (1.0 - out * out)
         if _needs(x):
             x.accumulate_grad(gb * (n * aval))
         if _needs(a):
@@ -269,16 +261,12 @@ def adaptive(x, a, n: float, base: str = "tanh") -> Tensor:
     return Tensor(out, parents=(x, a), backward_fn=backward)
 
 
-def activate(x, kind: str, a=None, n: float = 10.0, base: str = "tanh") -> Tensor:
-    """Dispatch helper: kind is 'relu', 'tanh', or 'adaptive'."""
+def activate(x, kind: str) -> Tensor:
+    """Dispatch helper for the fixed activations: kind is 'relu' or 'tanh'."""
     if kind == "relu":
         return relu(x)
     if kind == "tanh":
         return tanh(x)
-    if kind == "adaptive":
-        if a is None:
-            raise ParameterError("adaptive activation requires a slope tensor")
-        return adaptive(x, a, n, base)
     raise ParameterError(f"unknown activation kind {kind!r}")
 
 

@@ -47,9 +47,6 @@ class Conv2d:
     def params(self) -> List[Tensor]:
         return [self.kernels, self.bias]
 
-    def param_count(self) -> int:
-        return self.kernels.size + self.bias.size
-
 
 class Activation:
     """Fixed nonlinearity: 'relu' or 'tanh'."""
@@ -68,40 +65,32 @@ class Activation:
     def params(self) -> List[Tensor]:
         return []
 
-    def param_count(self) -> int:
-        return 0
-
 
 class AdaptiveActivation:
-    """base(n * a * x) with one trainable slope per layer.
+    """tanh(n * a * x) with one trainable slope per layer.
 
-    The slope starts at init_slope so n * a = 1 and the activation matches
-    its base nonlinearity at the first step.
+    The slope starts at 1 / n so n * a = 1 and the activation matches tanh
+    at the first step.
     """
 
-    def __init__(self, n: float = 10.0, init_slope: float = 0.1, base: str = "tanh"):
-        if n <= 0:
-            raise ParameterError("slope scale n must be positive")
-        self.n = float(n)
-        self.base = base
-        self.slope = parameter(np.asarray(init_slope))
+    n = 10.0
+
+    def __init__(self):
+        self.slope = parameter(np.asarray(0.1))
 
     @property
     def monotone(self) -> bool:
-        """True while n * a > 0, where base(n * a * x) is non-decreasing in x.
+        """True while n * a > 0, where tanh(n * a * x) is non-decreasing in x.
 
         The slope is trained, so this is read afresh on every forward pass.
         """
         return self.n * float(self.slope.data.reshape(())) > 0
 
     def __call__(self, x: Tensor) -> Tensor:
-        return F.adaptive(x, self.slope, self.n, self.base)
+        return F.adaptive(x, self.slope, self.n)
 
     def params(self) -> List[Tensor]:
         return [self.slope]
-
-    def param_count(self) -> int:
-        return 1
 
 
 class Dropout:
@@ -117,9 +106,6 @@ class Dropout:
 
     def params(self) -> List[Tensor]:
         return []
-
-    def param_count(self) -> int:
-        return 0
 
 
 class Dense:
@@ -142,6 +128,3 @@ class Dense:
 
     def params(self) -> List[Tensor]:
         return [self.weights, self.bias]
-
-    def param_count(self) -> int:
-        return self.weights.size + self.bias.size

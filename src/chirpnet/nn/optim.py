@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from dataclasses import dataclass
+from typing import Dict, List
 
 import numpy as np
 
@@ -79,7 +79,3 @@ class Adam:
     def zero_grad(self) -> None:
         for p in self.params:
             p.zero_grad()
-
-    def state_arrays(self) -> List[Tuple[np.ndarray, np.ndarray]]:
-        """Moment buffers in parameter order (for checkpoint round-trips)."""
-        return [(self._state[id(p)].m, self._state[id(p)].v) for p in self.params]

@@ -39,9 +39,6 @@ class TrainConfig:
     early_stop_patience: int = 20
     min_delta: float = 1e-4
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     val_fraction: float = 0.1
     monitor_test: bool = False
     standardize: bool = False
@@ -206,7 +203,7 @@ def train_one(
     shuffle_rng = np.random.default_rng(shuffle_seq)
     model.set_dropout_rng(np.random.default_rng(dropout_seq))
 
-    optimizer = Adam(model.params(), lr=tc.lr, beta1=tc.beta1, beta2=tc.beta2, eps=tc.eps)
+    optimizer = Adam(model.params(), lr=tc.lr)
     history = TrainHistory()
     best_val = np.inf
     best_weights = model.state_arrays()

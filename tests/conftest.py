@@ -1,12 +1,22 @@
 """Shared fixtures. The small two-class model is session-scoped because
 several detection and experiment tests reuse it."""
 
+import os
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from chirpnet.model import FcnConfig, build_model
 from chirpnet.synth import make_clip
 from chirpnet.training import FeatureSpec, TrainConfig, train_one
+
+# Hypothesis caches the literals of local modules in its storage directory,
+# even with database=None; keep that cache out of the working tree.
+os.environ.setdefault(
+    "HYPOTHESIS_STORAGE_DIRECTORY", str(Path(tempfile.gettempdir()) / "chirpnet-hypothesis")
+)
 
 
 @pytest.fixture(scope="session")

@@ -10,7 +10,6 @@ from chirpnet.audio.fetch import FetchReport
 from chirpnet.audio.manifest import ManifestEntry, load_manifest
 from chirpnet.audio.wavio import write_wav
 from chirpnet.cli import main
-from chirpnet.dsp.features import load_features
 from chirpnet.errors import FetchError
 from chirpnet.model import FcnConfig, grid_widths, load_weights, save_weights
 from chirpnet.synth import make_clip
@@ -81,20 +80,6 @@ class TestPrepare:
         ])
         assert rc == 3
         assert "nothing to prepare" in capsys.readouterr().err
-
-
-class TestFeatures:
-    def test_writes_feature_files(self, workspace, tmp_path, capsys):
-        _, manifest, _ = workspace
-        out = tmp_path / "feats"
-        rc = main([
-            "features", str(manifest), "--output-dir", str(out), "--n-mels", "16"
-        ])
-        assert rc == 0
-        assert "wrote 8 feature files" in capsys.readouterr().out
-        files = sorted(out.glob("*/*.chft"))
-        assert len(files) == 8
-        assert load_features(files[0]).values.shape[0] == 16
 
 
 class TestTrainAndEval:
@@ -344,10 +329,55 @@ class TestExitCodes:
         assert "0 Hz" in err
         assert "Traceback" not in err
 
+    def test_non_finite_float_wav(self, tmp_path, capsys):
+        raw = tmp_path / "raw"
+        write_corpus(raw, n_per_class=2)
+        samples = np.full(22050, 0.25)
+        samples[100] = np.nan
+        write_wav(raw / "tone-low" / "tone-low-0.wav", samples, 44100, float_format=True)
+        prep = tmp_path / "prep"
+        with pytest.warns(UserWarning, match="NaN or infinite"):
+            rc = main(["prepare", "--input-dir", str(raw), "--output-dir", str(prep)])
+        assert rc == 0
+        assert "skipped 0 silent and 1 unreadable file(s)" in capsys.readouterr().out
+        assert len(load_manifest(prep / "manifest.csv")) == 3
+        wavs = sorted(raw.glob("*/*.wav"))
+        manifest = tmp_path / "manifest.csv"
+        manifest.write_text(
+            "path,species\n" + "".join(f"{p.relative_to(tmp_path)},{p.parent.name}\n"
+                                        for p in wavs)
+        )
+        rc = main(["train", str(manifest), "--output", str(tmp_path / "m.fcnw")])
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert "NaN or infinite" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("damage", ["csv-bytes", "labels-bytes", "nul-path"])
+    def test_undecodable_manifest(self, tmp_path, capsys, damage):
+        write_corpus(tmp_path, n_per_class=1)
+        manifest = tmp_path / "manifest.csv"
+        manifest.write_text("path,species\ntone-low/tone-low-0.wav,tone-low\n")
+        (tmp_path / "manifest.csv.labels").write_text("tone-low\n")
+        if damage == "csv-bytes":
+            manifest.write_bytes(manifest.read_bytes() + b"\xff\n")
+        elif damage == "labels-bytes":
+            (tmp_path / "manifest.csv.labels").write_bytes(b"tone-low\n\xff\n")
+        else:
+            manifest.write_text("path,species\ntone-low/tone\0.wav,tone-low\n")
+        rc = main(["prepare", "--manifest", str(manifest), "--output-dir", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert "error:" in err
+        assert "Traceback" not in err
+
+    def test_features_command_is_gone(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["features", "manifest.csv", "--output-dir", "x"])
+        assert exc.value.code == 2
+
     def test_bad_value(self, capsys):
-        rc = main([
-            "features", "whatever.csv", "--output-dir", "x", "--fft-size", "1000"
-        ])
+        rc = main(["train", "whatever.csv", "--output", "m.fcnw", "--fft-size", "1000"])
         assert rc == 4
         assert "power of two" in capsys.readouterr().err
 

@@ -7,17 +7,14 @@ import oracles
 from chirpnet.dsp.features import (
     FeatureMatrix,
     Standardizer,
-    cache_key,
     dct_cepstrum,
     extract_features,
-    load_features,
     mel_spectrogram,
     mfcc,
-    save_features,
 )
 from chirpnet.dsp.mel import build_filterbank
 from chirpnet.dsp.windowing import FrameParams
-from chirpnet.errors import CorruptionError, FormatError, ParameterError, ShapeError
+from chirpnet.errors import CorruptionError, ParameterError, ShapeError
 
 FP = FrameParams()
 
@@ -183,54 +180,3 @@ class TestStandardizer:
         with pytest.raises(CorruptionError):
             Standardizer.from_state(state)
 
-
-class TestCacheFiles:
-    def _matrix(self):
-        return mel_spectrogram(tone(2000.0), fp=FP, n_mels=20, sample_rate=44100)
-
-    def test_round_trip(self, tmp_path):
-        mat = self._matrix()
-        p = tmp_path / "clip.chft"
-        save_features(mat, p)
-        loaded = load_features(p)
-        np.testing.assert_allclose(loaded.values,
-                                   mat.values.astype(np.float32), atol=1e-6)
-        assert loaded.kind == mat.kind
-        assert loaded.frame_params == mat.frame_params
-        assert loaded.sample_rate == mat.sample_rate
-
-    def test_wrong_magic_rejected(self, tmp_path):
-        p = tmp_path / "bogus.chft"
-        p.write_bytes(b"NOPE" + bytes(20))
-        with pytest.raises(FormatError):
-            load_features(p)
-
-    def test_wrong_version_rejected(self, tmp_path):
-        mat = self._matrix()
-        p = tmp_path / "clip.chft"
-        save_features(mat, p)
-        raw = bytearray(p.read_bytes())
-        raw[4] = 99
-        p.write_bytes(bytes(raw))
-        with pytest.raises(FormatError, match="version"):
-            load_features(p)
-
-    def test_truncated_payload_rejected(self, tmp_path):
-        mat = self._matrix()
-        p = tmp_path / "clip.chft"
-        save_features(mat, p)
-        raw = p.read_bytes()
-        p.write_bytes(raw[: len(raw) - 7])
-        with pytest.raises(CorruptionError):
-            load_features(p)
-
-    def test_cache_key_tracks_content_and_parameters(self, tmp_path):
-        src = tmp_path / "a.wav"
-        src.write_bytes(b"payload-one")
-        k1 = cache_key(src, "mel-db", FP, n_mels=20)
-        k2 = cache_key(src, "mel-db", FP, n_mels=32)
-        src.write_bytes(b"payload-two")
-        k3 = cache_key(src, "mel-db", FP, n_mels=20)
-        assert len({k1, k2, k3}) == 3
-        src.write_bytes(b"payload-one")
-        assert cache_key(src, "mel-db", FP, n_mels=20) == k1

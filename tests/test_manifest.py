@@ -126,6 +126,40 @@ class TestLoadManifest:
         with pytest.raises(CorruptionError, match="0 Hz"):
             load_manifest(tmp_path / "data.csv")
 
+    def test_sidecar_rejects_duplicate_species(self, tmp_path):
+        make_wavs(tmp_path, ["a.wav"])
+        (tmp_path / "data.csv").write_text("path,species\na.wav,a\n")
+        (tmp_path / "data.csv.labels").write_text("a\na\nb\n")
+        with pytest.raises(ValidationError, match="more than once"):
+            load_manifest(tmp_path / "data.csv")
+
+    @pytest.mark.parametrize("target", ["data.csv", "data.csv.labels"])
+    def test_non_utf8_text_rejected(self, tmp_path, target):
+        make_wavs(tmp_path, ["a.wav"])
+        (tmp_path / "data.csv").write_text("path,species\na.wav,wren\n")
+        (tmp_path / "data.csv.labels").write_text("wren\n")
+        with open(tmp_path / target, "ab") as f:
+            f.write(b"\xff\xfe\n")
+        with pytest.raises(ValidationError, match="not UTF-8"):
+            load_manifest(tmp_path / "data.csv")
+
+    @pytest.mark.parametrize("check_files", [True, False])
+    def test_nul_byte_in_path_rejected(self, tmp_path, check_files):
+        make_wavs(tmp_path, ["a.wav"])
+        (tmp_path / "data.csv").write_text("path,species\na.wav,wren\nb\0.wav,wren\n")
+        with pytest.raises(ValidationError, match="data.csv:3: path contains a NUL byte"):
+            load_manifest(tmp_path / "data.csv", check_files=check_files)
+
+    def test_oversized_field_rejected(self, tmp_path):
+        (tmp_path / "data.csv").write_text("path,species\n" + "a" * 200_000 + ",wren\n")
+        with pytest.raises(ValidationError, match="unreadable CSV"):
+            load_manifest(tmp_path / "data.csv")
+
+    def test_directory_path_is_not_an_audio_file(self, tmp_path):
+        (tmp_path / "data.csv").write_text("path,species\n.,wren\n")
+        with pytest.raises(ValidationError, match="missing audio file"):
+            load_manifest(tmp_path / "data.csv")
+
     def test_check_files_off_skips_probe(self, tmp_path):
         (tmp_path / "data.csv").write_text("path,species\nghost.wav,wren\n")
         m = load_manifest(tmp_path / "data.csv", check_files=False)

@@ -218,6 +218,17 @@ class TestErrors:
         with pytest.raises(CorruptionError, match=message):
             read_wav(p)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("channels", [1, 2])
+    def test_non_finite_float_samples_rejected(self, tmp_path, bad, channels):
+        samples = np.full((64, channels), 0.25)
+        samples[10, channels - 1] = bad
+        p = tmp_path / "nonfinite.wav"
+        write_wav(p, samples, 8000, float_format=True)
+        assert wav_info(p).n_frames == 64
+        with pytest.raises(CorruptionError, match="NaN or infinite"):
+            read_wav(p)
+
     def test_write_rejects_bad_shape(self, tmp_path):
         with pytest.raises(FormatError, match="shape"):
             write_wav(tmp_path / "bad.wav", np.zeros((4, 3)), 8000)
