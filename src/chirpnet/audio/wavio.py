@@ -7,6 +7,7 @@ chunks other than fmt and data.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 
@@ -78,30 +79,38 @@ def _parse_fmt(payload: bytes) -> tuple:
     return code, channels, rate, bits
 
 
+def _scan(f) -> tuple[tuple, int, int]:
+    """Walk every chunk: the parsed fmt chunk and the data chunk's offset and size.
+
+    A data chunk that declares more bytes than the file holds is truncated.
+    """
+    end = os.fstat(f.fileno()).st_size
+    fmt = None
+    data = None
+    for cid, size, offset in _walk_chunks(f):
+        if cid == b"fmt ":
+            fmt = _parse_fmt(_read_exact(f, min(size, 16), "fmt chunk"))
+        elif cid == b"data":
+            if offset + size > end:
+                raise CorruptionError("truncated WAV file: data chunk")
+            data = offset, size
+    if fmt is None:
+        raise CorruptionError("WAV file has no fmt chunk")
+    if data is None:
+        raise CorruptionError("WAV file has no data chunk")
+    return fmt, *data
+
+
 def wav_info(path) -> WavInfo:
     """Header-only probe: geometry without reading the sample payload."""
     with open(path, "rb") as f:
-        fmt = None
-        data_size = None
-        for cid, size, _ in _walk_chunks(f):
-            if cid == b"fmt ":
-                fmt = _parse_fmt(_read_exact(f, min(size, 16), "fmt chunk"))
-            elif cid == b"data":
-                data_size = size
-            if fmt is not None and data_size is not None:
-                break
-    if fmt is None:
-        raise CorruptionError("WAV file has no fmt chunk")
-    if data_size is None:
-        raise CorruptionError("WAV file has no data chunk")
-    code, channels, rate, bits = fmt
-    frame_bytes = channels * bits // 8
+        (code, channels, rate, bits), _, data_size = _scan(f)
     return WavInfo(
         sample_rate=rate,
         channels=channels,
         bits=bits,
         format_code=code,
-        n_frames=data_size // frame_bytes,
+        n_frames=data_size // (channels * bits // 8),
     )
 
 
@@ -112,18 +121,9 @@ def read_wav(path) -> tuple[np.ndarray, int]:
     Float data holding NaN or infinite samples is rejected.
     """
     with open(path, "rb") as f:
-        fmt = None
-        data = None
-        for cid, size, _ in _walk_chunks(f):
-            if cid == b"fmt ":
-                fmt = _parse_fmt(_read_exact(f, min(size, 16), "fmt chunk"))
-            elif cid == b"data":
-                data = _read_exact(f, size, "data chunk")
-    if fmt is None:
-        raise CorruptionError("WAV file has no fmt chunk")
-    if data is None:
-        raise CorruptionError("WAV file has no data chunk")
-    code, channels, rate, bits = fmt
+        (code, channels, rate, bits), offset, size = _scan(f)
+        f.seek(offset)
+        data = _read_exact(f, size, "data chunk")
     if code == _FMT_PCM:
         raw = np.frombuffer(data[: len(data) - len(data) % (2 * channels)], dtype="<i2")
         samples = raw.astype(np.float64) / 32768.0

@@ -419,6 +419,8 @@ def load_weights(path) -> tuple[FcnModel, dict]:
         model = FcnModel(config, labels, seed=0, fixed_shape=fixed_shape)
         declared = [(str(d["name"]), _int_tuple(d["shape"])) for d in header["params"]]
         extras = header.get("extras", {})
+        if not isinstance(extras, dict):
+            raise TypeError(f"extras must be an object, got {type(extras).__name__}")
     except (KeyError, TypeError, ValueError, AttributeError, ConfigError) as exc:
         raise CorruptionError(f"{path}: malformed header: {type(exc).__name__}: {exc}") from exc
 

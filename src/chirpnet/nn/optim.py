@@ -10,6 +10,11 @@ import numpy as np
 from ..errors import NumericError, ParameterError
 from .tensor import Tensor
 
+# Moment decay rates and denominator guard (Kingma & Ba's defaults).
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
+
 
 @dataclass
 class AdamState:
@@ -25,9 +30,6 @@ def adam_step(
     state: AdamState,
     t: int,
     lr: float = 1e-3,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
 ) -> np.ndarray:
     """One Adam update; mutates ``state`` and returns the new parameter value.
 
@@ -35,27 +37,21 @@ def adam_step(
     """
     if t < 1:
         raise ParameterError("step count t must be >= 1")
-    state.m = beta1 * state.m + (1.0 - beta1) * grad
-    state.v = beta2 * state.v + (1.0 - beta2) * (grad * grad)
-    m_hat = state.m / (1.0 - beta1 ** t)
-    v_hat = state.v / (1.0 - beta2 ** t)
-    return param - lr * m_hat / (np.sqrt(v_hat) + eps)
+    state.m = BETA1 * state.m + (1.0 - BETA1) * grad
+    state.v = BETA2 * state.v + (1.0 - BETA2) * (grad * grad)
+    m_hat = state.m / (1.0 - BETA1 ** t)
+    v_hat = state.v / (1.0 - BETA2 ** t)
+    return param - lr * m_hat / (np.sqrt(v_hat) + EPS)
 
 
 class Adam:
     """Tracks moments for a fixed list of parameter tensors."""
 
-    def __init__(self, params: List[Tensor], lr: float = 1e-3,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params: List[Tensor], lr: float = 1e-3):
         if lr <= 0:
             raise ParameterError("learning rate must be positive")
-        if not 0.0 <= beta1 < 1.0 or not 0.0 <= beta2 < 1.0:
-            raise ParameterError("betas must lie in [0, 1)")
         self.params = list(params)
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self._state: Dict[int, AdamState] = {
             id(p): AdamState(np.zeros_like(p.data), np.zeros_like(p.data))
@@ -71,10 +67,7 @@ class Adam:
             if not np.all(np.isfinite(p.grad)):
                 raise NumericError("non-finite gradient in Adam step")
             st = self._state[id(p)]
-            p.data = adam_step(
-                p.data, p.grad, st, self.t,
-                lr=self.lr, beta1=self.beta1, beta2=self.beta2, eps=self.eps,
-            ).astype(p.data.dtype)
+            p.data = adam_step(p.data, p.grad, st, self.t, lr=self.lr).astype(p.data.dtype)
 
     def zero_grad(self) -> None:
         for p in self.params:

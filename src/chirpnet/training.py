@@ -18,10 +18,10 @@ import numpy as np
 
 from .audio.clip import AudioClip
 from .audio.preprocess import pad_to_length
-from .dsp.features import FeatureMatrix, Standardizer, extract_features
+from .dsp.features import KINDS, FeatureMatrix, Standardizer, extract_features
 from .dsp.mel import MelFilterbank
 from .dsp.windowing import FrameParams
-from .errors import DivergenceError, NumericError, ParameterError, ShapeError
+from .errors import CorruptionError, DivergenceError, NumericError, ParameterError, ShapeError
 from .metrics import EvalReport, evaluate_predictions
 from .model import FcnConfig, FcnModel, build_model
 from .nn import functional as F
@@ -322,13 +322,24 @@ class FeatureSpec:
 
     @classmethod
     def from_extras(cls, extras: dict) -> "FeatureSpec":
-        """A saved model's feature path: its spec plus its training standardization."""
+        """A saved model's feature path: its spec plus its training standardization.
+
+        Feature settings with a missing field, a field of the wrong type, an
+        invalid frame geometry or an unknown kind raise CorruptionError.
+        """
         stored = extras.get("feature_spec")
         if stored is None:
             warnings.warn("weights file carries no feature settings; assuming defaults")
             spec = cls()
         else:
-            spec = cls.from_dict(stored)
+            try:
+                spec = cls.from_dict(stored)
+            except (KeyError, TypeError, ParameterError) as exc:
+                raise CorruptionError(
+                    f"unreadable feature settings: {type(exc).__name__}: {exc}"
+                ) from exc
+            if spec.kind not in KINDS:
+                raise CorruptionError(f"feature settings name an unknown kind {spec.kind!r}")
         state = extras.get("standardizer")
         if state is not None:
             spec = replace(spec, standardizer=Standardizer.from_state(state))

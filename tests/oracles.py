@@ -210,6 +210,26 @@ def naive_softmax(v: np.ndarray) -> np.ndarray:
     return e / e.sum()
 
 
+def naive_resample(x: np.ndarray, up: int, down: int, kernel: np.ndarray) -> np.ndarray:
+    """Direct form: zero-stuff by ``up``, full convolution, keep every ``down``-th.
+
+    The kernel's centre tap lands on output 0 and the output holds
+    ceil(len(x) * up / down) samples. Only the kept samples of the full
+    convolution are summed, each over the stuffed signal it overlaps.
+    """
+    stuffed = np.zeros(len(x) * up)
+    stuffed[::up] = x
+    taps = len(kernel)
+    centre = (taps - 1) // 2
+    n_out = -(-len(x) * up // down)
+    out = np.zeros(n_out)
+    for i in range(n_out):
+        c = centre + i * down  # index into the full convolution
+        lo, hi = max(0, c - taps + 1), min(len(stuffed), c + 1)
+        out[i] = stuffed[lo:hi] @ kernel[c - hi + 1 : c - lo + 1][::-1]
+    return out
+
+
 def adam_unroll(param0: float, grads: list[float], lr: float = 1e-3,
                 beta1: float = 0.9, beta2: float = 0.999,
                 eps: float = 1e-8) -> list[float]:

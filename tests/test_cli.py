@@ -1,10 +1,15 @@
 """Command-line behavior: workflows, config overrides, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import chirpnet
 from chirpnet.audio.clip import decode_audio
 from chirpnet.audio.fetch import FetchReport
 from chirpnet.audio.manifest import ManifestEntry, load_manifest
@@ -386,3 +391,18 @@ class TestExitCodes:
             main(["--help"])
         assert exc.value.code == 0
         assert "exit codes:" in capsys.readouterr().out
+
+
+class TestStartup:
+    def test_import_loads_no_scipy(self):
+        """The package and its command line import numpy, not scipy and its BLAS."""
+        src = Path(chirpnet.__file__).resolve().parents[1]
+        code = (
+            "import sys, chirpnet, chirpnet.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True, text=True, timeout=120, check=True,
+        )
+        assert done.stdout.strip() == "[]"

@@ -1,11 +1,18 @@
 """AudioClip invariants, rational resampling, and file decoding."""
 
+import tracemalloc
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
+import oracles
+from chirpnet.audio import clip as clip_module
 from chirpnet.audio.clip import CANONICAL_RATE, AudioClip, decode_audio, resample
 from chirpnet.audio.wavio import write_wav
-from chirpnet.errors import NumericError, ParameterError
+from chirpnet.errors import FormatError, NumericError, ParameterError
+
+ODD_RATES = [48000, 22050, 16000, 8000, 96000, 384000, 44056, 47952, 44099]
 
 
 def tone(freq, n, rate):
@@ -91,6 +98,51 @@ class TestResample:
         with pytest.raises(ParameterError, match="positive"):
             resample(np.zeros(10), 44100, -1)
 
+    def test_rejects_kernel_over_the_cap(self):
+        # 44100 / 2e9 reduces to 441 / 20,000,000: 1.28e9 taps, refused unbuilt
+        with pytest.raises(ParameterError, match="taps"):
+            resample(np.zeros(0), 2_000_000_000, 44100)
+
+
+class TestPolyphaseMatchesDirectForm:
+    """The GEMM executor against zero-stuff, convolve, decimate (tests/oracles.py)."""
+
+    @pytest.mark.parametrize("sr_to", [44100, 22050, 16000])
+    @pytest.mark.parametrize("sr_from", ODD_RATES)
+    def test_short_inputs(self, sr_from, sr_to):
+        ratio = Fraction(sr_to, sr_from)
+        kernel = clip_module._kaiser_sinc_kernel(ratio.numerator, ratio.denominator)
+        rng = np.random.default_rng(sr_from + sr_to)
+        for n in (0, 1, 2, 5, 37):
+            x = rng.uniform(-1, 1, n)
+            want = oracles.naive_resample(x, ratio.numerator, ratio.denominator, kernel)
+            got = resample(x, sr_from, sr_to)
+            assert got.shape == want.shape
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("sr_from, n", [(22050, 40000), (48000, 3001), (8000, 1500)])
+    def test_many_periods_and_row_chunks(self, sr_from, n):
+        ratio = Fraction(CANONICAL_RATE, sr_from)
+        kernel = clip_module._kaiser_sinc_kernel(ratio.numerator, ratio.denominator)
+        x = np.random.default_rng(n).uniform(-1, 1, n)
+        want = oracles.naive_resample(x, ratio.numerator, ratio.denominator, kernel)
+        np.testing.assert_allclose(resample(x, sr_from, CANONICAL_RATE), want, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("sr_from", [44056, 44099])
+    def test_memory_stays_bounded_for_long_periods(self, sr_from):
+        # 44056 Hz reduces to 11025/11014: one tap matrix per period would be ~1 GB
+        ratio = Fraction(CANONICAL_RATE, sr_from)
+        up, down = ratio.numerator, ratio.denominator
+        kernel = clip_module._kaiser_sinc_kernel(up, down)
+        x = np.random.default_rng(0).uniform(-1, 1, sr_from)
+        tracemalloc.start()
+        try:
+            clip_module._polyphase(x, kernel, up, down, -(-len(x) * up // down))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
+
 
 class TestDecodeAudio:
     def test_native_rate_pcm(self, tmp_path):
@@ -122,6 +174,18 @@ class TestDecodeAudio:
         assert clip.duration == pytest.approx(1.0)
         want = tone(1000.0, 44100, 44100)
         np.testing.assert_allclose(clip.samples[500:-500], want[500:-500], atol=1e-3)
+
+    @pytest.mark.parametrize("rate", [8000, 16000, 32000, 44056, 47952, 96000, 192000, 384000])
+    def test_plausible_rates_pass_the_kernel_cap(self, tmp_path, rate):
+        p = tmp_path / "empty.wav"
+        write_wav(p, np.zeros(0), rate)
+        assert len(decode_audio(p)) == 0
+
+    def test_absurd_header_rate_is_bad_data(self, tmp_path):
+        p = tmp_path / "absurd.wav"
+        write_wav(p, np.zeros(0), 2_000_000_000)  # header only; its byte rate still fits a u32
+        with pytest.raises(FormatError, match="2000000000 Hz"):
+            decode_audio(p)
 
     def test_clips_filter_overshoot(self, tmp_path):
         p = tmp_path / "hot.wav"

@@ -1,10 +1,12 @@
-"""Property tests: damaged WAV files and manifests fail only with typed errors.
+"""Property tests: damaged WAV files, manifests and weights containers fail
+only with typed errors.
 
 Each input is a valid file with a few bytes XOR-flipped and the tail
 possibly cut off. The decoder either returns a well-formed result or
 raises a ChirpnetError subclass; any other exception is a bug. Examples
 are derandomized and no example database is written, so the run is the
-same every time.
+same every time. A few damaged files also go through the command line,
+which must exit 3 without a traceback.
 """
 
 import numpy as np
@@ -14,7 +16,10 @@ from hypothesis import strategies as st
 
 from chirpnet.audio.manifest import load_manifest
 from chirpnet.audio.wavio import read_wav, wav_info, write_wav
+from chirpnet.cli import main
 from chirpnet.errors import ChirpnetError
+from chirpnet.model import FcnConfig, FcnModel, build_model, load_weights, save_weights
+from chirpnet.training import FeatureSpec
 
 FUZZ = settings(derandomize=True, database=None, deadline=None, max_examples=300)
 
@@ -60,7 +65,7 @@ def _check_wav(path):
     try:
         samples, rate = read_wav(path)
     except ChirpnetError:
-        pass
+        samples = None
     else:
         assert rate > 0
         assert samples.ndim == 1 or samples.shape[1] == 2
@@ -68,9 +73,12 @@ def _check_wav(path):
     try:
         info = wav_info(path)
     except ChirpnetError:
-        pass
+        info = None
     else:
         assert info.sample_rate > 0 and info.n_frames >= 0
+    if samples is not None and info is not None:
+        # the probe that sizes manifest durations agrees with the decoder
+        assert (info.n_frames, info.sample_rate) == (samples.shape[0], rate)
 
 
 @pytest.mark.parametrize("kind", ["pcm16", "float32"])
@@ -112,3 +120,81 @@ def test_damaged_manifest(workdir, csv_bytes, label_bytes):
     for e in manifest.entries:
         assert e.species in manifest.label_set
         assert e.duration == pytest.approx(0.01)
+
+
+@pytest.fixture(scope="module")
+def valid_weights(workdir):
+    config = FcnConfig(depth=3, widths=(2, 3, 2), activation="relu", n_classes=2,
+                       enforce_grid=False)
+    model = build_model(config, ["wren", "finch"], seed=0)
+    path = workdir / "valid.fcnw"
+    save_weights(model, path, extras={"feature_spec": FeatureSpec(n_mels=16).to_dict()})
+    return path.read_bytes()
+
+
+def test_valid_weights_load(workdir, valid_weights):
+    path = workdir / "probe.fcnw"
+    path.write_bytes(valid_weights)
+    model, extras = load_weights(path)
+    assert model.label_set == ["wren", "finch"]
+    assert extras["feature_spec"]["n_mels"] == 16
+
+
+@FUZZ
+@given(data=st.data())
+def test_damaged_weights(workdir, valid_weights, data):
+    path = workdir / "damaged.fcnw"
+    path.write_bytes(data.draw(damaged(valid_weights)))
+    try:
+        model, _ = load_weights(path)
+    except ChirpnetError:
+        return
+    assert isinstance(model, FcnModel)
+    assert all(np.isfinite(p.data).all() for p in model.params())
+
+
+def _truncated_wav(path):
+    write_wav(path, np.zeros(22050), 22050, float_format=True)
+    whole = path.read_bytes()
+    path.write_bytes(whole[: len(whole) // 2])
+
+
+def _absurd_rate_wav(path):
+    """Header only, at 2 GHz: resampling would need a 1.28e9-tap kernel."""
+    write_wav(path, np.zeros(0), 2_000_000_000)
+
+
+def _flipped_magic_wav(path):
+    write_wav(path, np.zeros(800), 8000)
+    path.write_bytes(b"RIFX" + path.read_bytes()[4:])
+
+
+@pytest.mark.parametrize("damage", [_truncated_wav, _absurd_rate_wav, _flipped_magic_wav])
+def test_cli_detect_damaged_wav(workdir, valid_weights, capsys, damage):
+    model = workdir / "cli.fcnw"
+    model.write_bytes(valid_weights)
+    audio = workdir / f"{damage.__name__}.wav"
+    damage(audio)
+    assert main(["detect", str(audio), "--model", str(model)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+WEIGHTS_DAMAGE = {
+    "cut in the header": lambda raw: raw[:40],
+    "cut in the last tensor": lambda raw: raw[:-3],
+    "flipped magic": lambda raw: bytes([raw[0] ^ 0x40]) + raw[1:],
+    "feature setting renamed": lambda raw: raw.replace(b'"n_mels"', b'"n_melz"'),
+    "unknown feature kind": lambda raw: raw.replace(b'"mel-db"', b'"mel-dD"'),
+}
+
+
+@pytest.mark.parametrize("damage", sorted(WEIGHTS_DAMAGE))
+def test_cli_detect_damaged_weights(workdir, valid_weights, capsys, damage):
+    audio = workdir / "cli.wav"
+    write_wav(audio, np.zeros(8000), 8000)
+    model = workdir / "cli-damaged.fcnw"
+    model.write_bytes(WEIGHTS_DAMAGE[damage](valid_weights))
+    assert main(["detect", str(audio), "--model", str(model)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err

@@ -518,6 +518,12 @@ class TestCorruptContainer:
         with pytest.raises(CorruptionError, match="extents must be integers"):
             load_weights(p)
 
+    def test_extras_of_wrong_type(self, tmp_path):
+        p = _saved(tmp_path)
+        _edit_header(p, lambda blob: blob.replace(b'"extras": {}', b'"extras": []'))
+        with pytest.raises(CorruptionError, match="extras must be an object"):
+            load_weights(p)
+
     def test_header_of_wrong_type(self, tmp_path):
         p = _saved(tmp_path)
         _edit_header(p, lambda blob: b"[1, 2]")

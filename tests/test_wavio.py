@@ -166,6 +166,16 @@ class TestErrors:
         with pytest.raises(CorruptionError, match="truncated"):
             read_wav(p)
 
+    def test_probe_rejects_truncated_data_payload(self, tmp_path):
+        # the declared data size is twice what the file holds
+        p = tmp_path / "half.wav"
+        write_wav(p, sine(n=22050, rate=22050), 22050, float_format=True)
+        whole = p.read_bytes()
+        p.write_bytes(whole[: len(whole) // 2])
+        for probe in (wav_info, read_wav):
+            with pytest.raises(CorruptionError, match="truncated WAV file: data chunk"):
+                probe(p)
+
     def test_truncated_riff_header(self, tmp_path):
         p = tmp_path / "stub.wav"
         p.write_bytes(b"RIFF\x00\x00")
