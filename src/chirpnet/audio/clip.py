@@ -19,10 +19,15 @@ RESAMPLE_KAISER_BETA = 8.6
 # every ratio whose reduced terms are both below 65536 (8-384 kHz to 44.1 kHz,
 # 44056 Hz, 47952 Hz); a corrupt 2 GHz header rate would need 1.28e9 taps.
 RESAMPLE_MAX_TAPS = 1 << 22
-# Outputs per polyphase GEMM, and window rows per GEMM call. numpy copies the
-# overlapping windows before each GEMM; 512 rows of 48 kHz input copy 0.6 MiB.
+# Outputs per polyphase GEMM, and window rows per GEMM call, at most. numpy
+# copies the overlapping windows before each GEMM; 512 rows of 48 kHz input
+# copy 0.6 MiB. When down/up is large a window spans many taps, so both shrink
+# until the tap matrix and the copied windows hold _BLOCK_VALUES floats each
+# (4 MiB), down to one output and one row. Resampling to 44.1 kHz, they shrink
+# only from about 945 kHz up.
 _GROUP = 128
 _ROWS = 512
+_BLOCK_VALUES = 1 << 19
 
 
 @dataclass(frozen=True)
@@ -87,7 +92,8 @@ def _polyphase(x: np.ndarray, kernel: np.ndarray, up: int, down: int, n_out: int
     period, stride = q * up, q * down
     n_rows = -(-n_out // period)
     used = min(period, n_out)  # a single short period needs only its first outputs
-    n_groups = -(-used // _GROUP)
+    span = (taps - 1 + (_GROUP - 1) * down) // up + 1  # widest window of _GROUP outputs
+    n_groups = -(-used // max(1, min(_GROUP, _BLOCK_VALUES // span)))
     bounds = [g * used // n_groups for g in range(n_groups + 1)]
     lpad = d // up
     last = (d + (used - 1) * down) // up  # last input read in the first period
@@ -101,8 +107,9 @@ def _polyphase(x: np.ndarray, kernel: np.ndarray, up: int, down: int, n_out: int
         inside = (idx >= 0) & (idx < taps)
         tap_matrix = np.where(inside, kernel[np.where(inside, idx, 0)], 0.0)
         windows = sliding_window_view(xp, width)[lpad + first :: stride][:n_rows]
-        for r in range(0, n_rows, _ROWS):
-            y[r : r + _ROWS, g0:g1] = windows[r : r + _ROWS] @ tap_matrix
+        rows = max(1, min(_ROWS, _BLOCK_VALUES // width))
+        for r in range(0, n_rows, rows):
+            y[r : r + rows, g0:g1] = windows[r : r + rows] @ tap_matrix
     return y.reshape(-1)[:n_out]
 
 

@@ -132,14 +132,6 @@ def valid_weights(workdir):
     return path.read_bytes()
 
 
-def test_valid_weights_load(workdir, valid_weights):
-    path = workdir / "probe.fcnw"
-    path.write_bytes(valid_weights)
-    model, extras = load_weights(path)
-    assert model.label_set == ["wren", "finch"]
-    assert extras["feature_spec"]["n_mels"] == 16
-
-
 @FUZZ
 @given(data=st.data())
 def test_damaged_weights(workdir, valid_weights, data):
