@@ -28,6 +28,8 @@ RESAMPLE_MAX_TAPS = 1 << 22
 _GROUP = 128
 _ROWS = 512
 _BLOCK_VALUES = 1 << 19
+# Taps per slice while building the resampling kernel.
+_KERNEL_SLICE = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -71,9 +73,16 @@ def _kaiser_sinc_kernel(up: int, down: int) -> np.ndarray:
     length = RESAMPLE_TAPS_PER_PHASE * max(up, down)
     if length % 2 == 0:
         length += 1
-    n = np.arange(length) - (length - 1) / 2
-    kernel = 2.0 * cutoff * np.sinc(2.0 * cutoff * n)
-    kernel *= np.kaiser(length, RESAMPLE_KAISER_BETA)
+    centre = (length - 1) / 2
+    kernel = np.empty(length)
+    # np.sinc and np.i0 hold about ten temporaries the size of their input,
+    # so the taps are computed _KERNEL_SLICE at a time (values as np.kaiser's).
+    for a in range(0, length, _KERNEL_SLICE):
+        n = np.arange(a, min(a + _KERNEL_SLICE, length)) - centre
+        window = np.i0(RESAMPLE_KAISER_BETA * np.sqrt(1 - (n / centre) ** 2.0))
+        kernel[a : a + n.shape[0]] = (
+            2.0 * cutoff * np.sinc(2.0 * cutoff * n) * (window / np.i0(RESAMPLE_KAISER_BETA))
+        )
     kernel *= up / kernel.sum()  # unit DC gain after the up-sampling dilution
     return kernel
 

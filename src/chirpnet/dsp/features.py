@@ -1,9 +1,9 @@
 """Feature matrices: mel spectrogram in dB and cepstral coefficients.
 
 Both descriptors share the same short-time front end (framing, Hamming
-window, power spectrum, triangular filterbank). Matrices are (bands x
-frames) and carry their framing parameters so downstream consumers can
-convert frame indices to seconds.
+window, power spectrum, triangular filterbank), run on blocks of frames.
+Matrices are (bands x frames) and carry their framing parameters so
+downstream consumers can convert frame indices to seconds.
 """
 
 from __future__ import annotations
@@ -21,6 +21,8 @@ from .windowing import FrameParams, frame_and_window, preemphasis
 DB_FLOOR = -100.0
 ENERGY_FLOOR = 1e-10
 KINDS = ("mel-db", "mfcc")
+# Frames per front-end block: a long clip's frames and spectra are never built whole
+_FRAME_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -62,7 +64,24 @@ def _extract(clip, sample_rate):
     sr = getattr(clip, "sample_rate", sample_rate)
     if sr is None:
         raise ParameterError("sample_rate required when passing a bare sample array")
-    return np.asarray(samples, dtype=np.float64), int(sr)
+    x = np.asarray(samples, dtype=np.float64)
+    if x.ndim != 1:
+        raise ParameterError("expected a 1-d sample buffer")
+    return x, int(sr)
+
+
+def _band_energies(samples: np.ndarray, fp: FrameParams, fb: MelFilterbank) -> np.ndarray:
+    """Filterbank energies (frames, n_mels), _FRAME_BLOCK frames at a time.
+
+    A clip shorter than one window makes one call, which raises DegenerateInputError.
+    """
+    n = max(fp.n_frames(samples.shape[0]), 1)
+    span = (_FRAME_BLOCK - 1) * fp.hop + fp.window_len
+    out = np.empty((n, fb.n_mels))
+    for s in range(0, n, _FRAME_BLOCK):
+        frames = frame_and_window(samples[s * fp.hop : s * fp.hop + span], fp)
+        out[s : s + _FRAME_BLOCK] = filterbank_energies(power_spectrum(frames), fb)
+    return out
 
 
 def dct_cepstrum(log_energies: np.ndarray, n_mfcc: int) -> np.ndarray:
@@ -100,8 +119,7 @@ def mel_spectrogram(
     samples, sr = _extract(clip, sample_rate)
     fp = fp or FrameParams()
     fb = fb or default_filterbank(n_mels, fp, sr)
-    frames = frame_and_window(samples, fp)
-    energies = filterbank_energies(power_spectrum(frames), fb)
+    energies = _band_energies(samples, fp, fb)
     db = 10.0 * np.log10(np.maximum(energies, ENERGY_FLOOR))
     peak = db.max()
     if peak > DB_FLOOR:
@@ -122,9 +140,7 @@ def mfcc(
     samples, sr = _extract(clip, sample_rate)
     fp = fp or FrameParams()
     fb = fb or default_filterbank(n_mels, fp, sr)
-    emphasized = preemphasis(samples, b)
-    frames = frame_and_window(emphasized, fp)
-    energies = filterbank_energies(power_spectrum(frames), fb)
+    energies = _band_energies(preemphasis(samples, b), fp, fb)
     log_e = np.log(np.maximum(energies, ENERGY_FLOOR))
     coeffs = dct_cepstrum(log_e, n_mfcc)
     return FeatureMatrix(values=coeffs.T, kind="mfcc", frame_params=fp, sample_rate=sr)

@@ -52,6 +52,7 @@ LIGHTWEIGHT_PARAM_BUDGET = 500_000
 
 _MAGIC = b"FCNW"
 _VERSION = 1
+_HEADER_KEYS = frozenset({"config", "fixed_shape", "params", "extras"})
 
 
 def grid_widths(depth: int, widest: int, n_classes: int) -> tuple[int, ...]:
@@ -373,7 +374,8 @@ def load_weights(path) -> tuple[FcnModel, dict]:
     """Rebuild a model bit-exactly; returns (model, extras).
 
     Every way the container can be malformed (truncation, a header that is
-    not UTF-8 JSON or lacks a field, an unknown or invalid config, non-finite
+    not UTF-8 JSON, lacks a field or has an unknown one, an unknown or
+    invalid config, tensor names other than the model's, non-finite
     weights) raises CorruptionError.
     """
     with open(path, "rb") as f:
@@ -423,6 +425,9 @@ def load_weights(path) -> tuple[FcnModel, dict]:
             raise TypeError(f"extras must be an object, got {type(extras).__name__}")
     except (KeyError, TypeError, ValueError, AttributeError, ConfigError) as exc:
         raise CorruptionError(f"{path}: malformed header: {type(exc).__name__}: {exc}") from exc
+    unknown = sorted(set(header) - _HEADER_KEYS)
+    if unknown:
+        raise CorruptionError(f"{path}: header has unknown keys {unknown}")
 
     params = model.params()
     if len(declared) != len(params):
@@ -430,7 +435,9 @@ def load_weights(path) -> tuple[FcnModel, dict]:
             f"{path}: header declares {len(declared)} tensors, model has {len(params)}"
         )
     arrays = []
-    for (name, shape), p in zip(declared, params):
+    for (name, shape), p, expected in zip(declared, params, model.param_names()):
+        if name != expected:
+            raise CorruptionError(f"{path}: tensor {name!r} where the model has {expected!r}")
         if shape != p.shape:
             raise CorruptionError(
                 f"{path}: tensor {name} has shape {shape}, model expects {p.shape}"

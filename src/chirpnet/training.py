@@ -30,6 +30,8 @@ from .nn.tensor import Tensor, no_grad
 
 # evaluate() forwards equal-shaped clips in stacks of at most this many input values
 EVAL_BATCH_VALUES = 1 << 16
+# the keys `chirpnet train` writes into a weights file's extras
+_EXTRAS_KEYS = frozenset({"feature_spec", "standardizer", "cv"})
 
 
 @dataclass(frozen=True)
@@ -324,9 +326,13 @@ class FeatureSpec:
     def from_extras(cls, extras: dict) -> "FeatureSpec":
         """A saved model's feature path: its spec plus its training standardization.
 
-        Feature settings with a missing field, a field of the wrong type, an
-        invalid frame geometry or an unknown kind raise CorruptionError.
+        Extras keys other than feature_spec, standardizer and cv, and feature
+        settings with a missing field, a field of the wrong type, an invalid
+        frame geometry or an unknown kind raise CorruptionError.
         """
+        unknown = sorted(set(extras) - _EXTRAS_KEYS)
+        if unknown:
+            raise CorruptionError(f"weights extras have unknown keys {unknown}")
         stored = extras.get("feature_spec")
         if stored is None:
             warnings.warn("weights file carries no feature settings; assuming defaults")

@@ -98,6 +98,17 @@ class TestResample:
         with pytest.raises(ParameterError, match="positive"):
             resample(np.zeros(10), 44100, -1)
 
+    def test_kernel_build_stays_near_the_kernel_size(self):
+        """44099 Hz reduces to 44100/44099: a 2,822,401-tap kernel of 22.6 MB."""
+        kernel_bytes = 8 * (clip_module.RESAMPLE_TAPS_PER_PHASE * CANONICAL_RATE + 1)
+        tracemalloc.start()
+        try:
+            resample(np.zeros(44099), 44099, CANONICAL_RATE)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * kernel_bytes
+
 
 class TestPolyphaseMatchesDirectForm:
     """The GEMM executor against zero-stuff, convolve, decimate (tests/oracles.py)."""

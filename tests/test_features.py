@@ -1,9 +1,12 @@
 """Feature extraction pipelines against the composed naive references."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import oracles
+from chirpnet.dsp import features
 from chirpnet.dsp.features import (
     FeatureMatrix,
     Standardizer,
@@ -14,7 +17,7 @@ from chirpnet.dsp.features import (
 )
 from chirpnet.dsp.mel import build_filterbank
 from chirpnet.dsp.windowing import FrameParams
-from chirpnet.errors import CorruptionError, ParameterError, ShapeError
+from chirpnet.errors import CorruptionError, DegenerateInputError, ParameterError, ShapeError
 
 FP = FrameParams()
 
@@ -117,6 +120,48 @@ class TestExtractDispatch:
     def test_bare_array_needs_sample_rate(self):
         with pytest.raises(ParameterError):
             mel_spectrogram(tone(2000.0), fp=FP, n_mels=20)
+
+
+class TestBlockedFrontEnd:
+    """Features are framed and transformed _FRAME_BLOCK frames at a time."""
+
+    B = features._FRAME_BLOCK
+
+    @pytest.mark.parametrize("kind", ["mel-db", "mfcc"])
+    @pytest.mark.parametrize("n_frames", sorted({1, B - 1, B, B + 1, 2 * B + 1}))
+    def test_blocks_match_the_whole_clip(self, monkeypatch, kind, n_frames):
+        n = FP.window_len + (n_frames - 1) * FP.hop
+        x = np.random.default_rng(n_frames).uniform(-1, 1, n)
+        blocked = extract_features(x, kind, fp=FP, n_mels=40, sample_rate=44100).values
+        monkeypatch.setattr(features, "_FRAME_BLOCK", n_frames + 1)
+        whole = extract_features(x, kind, fp=FP, n_mels=40, sample_rate=44100).values
+        assert blocked.shape[1] == n_frames
+        np.testing.assert_allclose(blocked, whole, rtol=1e-12)
+
+    def test_long_clip_builds_no_whole_clip_frames(self):
+        """30 s: its frames alone would be 2999 x 1024 floats, 23.4 MiB."""
+        x = np.random.default_rng(9).uniform(-1, 1, 30 * 44100)
+        whole_frames = FP.n_frames(x.shape[0]) * FP.fft_size * 8
+        mel_spectrogram(x[:44100], fp=FP, n_mels=64, sample_rate=44100)
+        tracemalloc.start()
+        try:
+            mel_spectrogram(x, fp=FP, n_mels=64, sample_rate=44100)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < whole_frames
+
+    @pytest.mark.parametrize("kind", ["mel-db", "mfcc"])
+    def test_clip_shorter_than_one_window_rejected(self, kind):
+        with pytest.raises(DegenerateInputError):
+            extract_features(np.ones(FP.window_len - 1), kind, fp=FP, n_mels=40,
+                             sample_rate=44100)
+
+    @pytest.mark.parametrize("kind", ["mel-db", "mfcc"])
+    @pytest.mark.parametrize("shape", [(), (2000, 2)])
+    def test_samples_must_be_one_dimensional(self, kind, shape):
+        with pytest.raises(ParameterError, match="1-d"):
+            extract_features(np.ones(shape), kind, fp=FP, n_mels=40, sample_rate=44100)
 
 
 class TestStandardizer:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import oracles
+from chirpnet.dsp.features import KINDS, extract_features
 from chirpnet.dsp.fft import _BLOCK, fft, power_spectrum
 from chirpnet.errors import DegenerateInputError, ParameterError
 
@@ -107,6 +108,34 @@ def test_power_spectrum_every_fft_size(n):
     np.testing.assert_allclose(p[:2], want, rtol=1e-9, atol=1e-9)
     np.testing.assert_allclose(p, np.abs(np.fft.rfft(frames, axis=-1)) ** 2,
                                rtol=1e-9, atol=1e-9)
+
+
+@pytest.mark.parametrize("n", [8192, 16384])
+def test_power_spectrum_recursive_sizes(n):
+    """Above 4096 points the complex second step recurses inside the kernel."""
+    rng = np.random.default_rng(n)
+    frames = rng.standard_normal((3, n))
+    p = power_spectrum(frames)
+    np.testing.assert_allclose(p, np.abs(np.fft.rfft(frames, axis=-1)) ** 2,
+                               rtol=1e-9, atol=1e-9)
+    bins = np.unique(np.concatenate([np.arange(64), rng.integers(0, n // 2, 64), [n // 2]]))
+    want = np.abs(oracles.naive_dft_bins(frames[0], bins)) ** 2
+    np.testing.assert_allclose(p[0, bins], want, rtol=1e-9, atol=1e-9)
+
+
+def test_no_numpy_fft_anywhere(monkeypatch):
+    """The transforms and both feature pipelines stay hand-written."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("numpy.fft called")
+
+    for name in np.fft.__all__:
+        monkeypatch.setattr(np.fft, name, refuse)
+    x = np.random.default_rng(10).standard_normal(4410)
+    power_spectrum(x[:1024])
+    fft(x[:256])
+    for kind in KINDS:
+        extract_features(x, kind, n_mels=40, sample_rate=44100)
 
 
 def test_power_spectrum_is_squared_magnitude():

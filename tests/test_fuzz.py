@@ -178,6 +178,10 @@ WEIGHTS_DAMAGE = {
     "flipped magic": lambda raw: bytes([raw[0] ^ 0x40]) + raw[1:],
     "feature setting renamed": lambda raw: raw.replace(b'"n_mels"', b'"n_melz"'),
     "unknown feature kind": lambda raw: raw.replace(b'"mel-db"', b'"mel-dD"'),
+    # without these three checks detect ran on default features and exited 0
+    "tensor renamed": lambda raw: raw.replace(b'"conv0.bias"', b'"conv0.bIas"'),
+    "header key renamed": lambda raw: raw.replace(b'"extras"', b'"exthas"'),
+    "extras key renamed": lambda raw: raw.replace(b'"feature_spec"', b'"featureLspec"'),
 }
 
 
