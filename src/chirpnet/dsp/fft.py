@@ -23,8 +23,8 @@ from ..errors import DegenerateInputError, ParameterError
 # Largest dense DFT matrix; 64*64 covers every fft_size up to 4096 in one step.
 _MAX_FACTOR = 64
 # Frames per power_spectrum block. On calls of 256 1024-point frames (the
-# feature front end's block) 16 and 32 ran fastest, and 64, whose four work
-# arrays take 2.2 MB, took 1.4-1.7x as long.
+# feature front end's block) 16 and 32 ran fastest; 64 and 128, whose work
+# arrays outgrow a 2 MiB L2 cache, took about 1.15x and 1.7x as long.
 _BLOCK = 32
 
 
