@@ -24,11 +24,16 @@ MAX_ATTEMPTS = 3
 BACKOFF_BASE_SECONDS = 1.0
 
 
-def requests_transport(url: str) -> tuple[int, bytes]:
-    import requests
+def http_transport(url: str) -> tuple[int, bytes]:
+    """One GET with a 60 s timeout; an HTTP error status returns with an empty body."""
+    from urllib.error import HTTPError
+    from urllib.request import urlopen  # imported here: it costs start-up time
 
-    r = requests.get(url, timeout=60)
-    return r.status_code, r.content
+    try:
+        with urlopen(url, timeout=60) as response:
+            return response.status, response.read()
+    except HTTPError as exc:
+        return exc.code, b""
 
 
 @dataclass(frozen=True)
@@ -140,7 +145,7 @@ def fetch_recordings(
     """
     config = config or FetchConfig()
     client = _RateLimitedClient(
-        transport or requests_transport, config.rate_limit_per_sec, sleep, clock
+        transport or http_transport, config.rate_limit_per_sec, sleep, clock
     )
     query.cache_dir.mkdir(parents=True, exist_ok=True)
     report = FetchReport()

@@ -44,12 +44,6 @@ class DatasetManifest:
     def __len__(self) -> int:
         return len(self.entries)
 
-    def per_class_counts(self) -> dict[str, int]:
-        counts = {s: 0 for s in self.label_set}
-        for e in self.entries:
-            counts[e.species] += 1
-        return counts
-
 
 def _labels_path(manifest_path) -> Path:
     p = Path(manifest_path)

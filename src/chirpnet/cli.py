@@ -268,9 +268,9 @@ def cmd_train(args) -> int:
         activation=args.activation,
         n_classes=n_classes,
     )
-    summary, model, _, standardizer = cross_validate(
+    summary = cross_validate(
         clips, labels, label_set, config, tc,
-        n_folds=args.folds, spec=spec, jobs=args.jobs, keep_last_model=True,
+        n_folds=args.folds, spec=spec, jobs=args.jobs,
     )
     for f in summary.folds:
         print(
@@ -278,11 +278,10 @@ def cmd_train(args) -> int:
             f"  (stopped after epoch {f.stopped_epoch})"
         )
     print(f"mean test accuracy {summary.mean_test:.3f} +/- {summary.std_test:.3f}")
-    print(param_report(model).summary())
-    extras = {"feature_spec": spec.to_dict(), "cv": summary.to_dict()}
-    if standardizer is not None:
-        extras["standardizer"] = standardizer.state()
-    save_weights(model, args.output, extras=extras)
+    last = summary.folds[-1]
+    print(param_report(last.model).summary())
+    extras = {**last.spec.to_extras(), "cv": summary.to_dict()}
+    save_weights(last.model, args.output, extras=extras)
     print(f"weights written to {args.output}")
     if args.report_json:
         Path(args.report_json).write_text(

@@ -9,16 +9,13 @@ and tallies which species appear inside clips of each primary label.
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
 from .audio.clip import AudioClip
 from .audio.preprocess import DEFAULT_TOP_DB, frame_powers
-from .dsp.features import FeatureMatrix
 from .errors import DegenerateInputError, OrderingError, ParameterError
-from .metrics import write_confusion_csv
 from .model import FcnModel
 from .training import FeatureSpec
 
@@ -54,30 +51,23 @@ class DetectionEvent:
                 f"event must span positive time, got [{self.t_start}, {self.t_end}]"
             )
 
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True)
-
-
-def _min_chunk_samples(spec: FeatureSpec, min_frames: int) -> int:
-    fp = spec.frame_params
-    return fp.window_len + (min_frames - 1) * fp.hop
-
 
 def chunk_stream(
     clip: AudioClip,
     cp: ChunkParams,
     spec: FeatureSpec = FeatureSpec(),
     min_frames: int = 8,
-) -> list[tuple[float, float, FeatureMatrix]]:
-    """Cut into chunks of chunk_seconds every hop_seconds and extract features.
+) -> list[tuple[int, int]]:
+    """Sample spans (a, b) of chunks of chunk_seconds every hop_seconds.
 
     A clip shorter than one chunk yields a single whole-clip chunk. A
     trailing partial chunk is kept when it still covers min_frames analysis
     frames; otherwise the last chunk stretches to the end of the clip.
+    Features are left to the caller, one chunk at a time.
     """
     sr = clip.sample_rate
     n = len(clip)
-    min_samples = _min_chunk_samples(spec, min_frames)
+    min_samples = spec.frame_params.min_samples(min_frames)
     if n < min_samples:
         raise DegenerateInputError(
             f"clip of {n} samples is below the {min_samples}-sample minimum "
@@ -89,12 +79,8 @@ def chunk_stream(
         raise ParameterError(
             f"chunk of {cp.chunk_seconds}s holds fewer than {min_frames} frames"
         )
-
-    def feat(a: int, b: int) -> FeatureMatrix:
-        return spec.extract(clip.with_samples(clip.samples[a:b]))
-
     if n <= chunk_n:
-        return [(0.0, n / sr, feat(0, n))]
+        return [(0, n)]
 
     spans = [(s, s + chunk_n) for s in range(0, n - chunk_n + 1, hop_n)]
     tail_start = spans[-1][0] + hop_n
@@ -103,7 +89,7 @@ def chunk_stream(
             spans.append((tail_start, n))
         else:
             spans[-1] = (spans[-1][0], n)
-    return [(a / sr, b / sr, feat(a, b)) for a, b in spans]
+    return spans
 
 
 def detect(
@@ -123,18 +109,19 @@ def detect(
     powers = frame_powers(clip.samples)
     peak = powers.max()
     threshold = peak / (10.0 ** (top_db / 10.0)) if peak > 0 else 0.0
+    sr = clip.sample_rate
     events = []
-    for t0, t1, features in chunk_stream(clip, cp, spec, model.min_frames):
-        probs = model.forward(features, train_mode=False)
+    for a, b in chunk_stream(clip, cp, spec, model.min_frames):
+        chunk = clip.samples[a:b]
+        probs = model.forward(spec.extract(clip.with_samples(chunk)), train_mode=False)
         conf = float(probs.max())
         if conf < cp.min_confidence:
             continue
-        a, b = int(round(t0 * clip.sample_rate)), int(round(t1 * clip.sample_rate))
-        chunk_power = float(np.mean(clip.samples[a:b] ** 2))
+        chunk_power = float(np.mean(chunk**2))
         events.append(
             DetectionEvent(
-                t_start=t0,
-                t_end=t1,
+                t_start=a / sr,
+                t_end=b / sr,
                 species=model.label_set[int(probs.argmax())],
                 confidence=conf,
                 low_energy=bool(chunk_power < threshold),
@@ -200,9 +187,6 @@ class MultispeciesReport:
             "labels": self.labels,
         }
 
-    def write_cooccurrence_csv(self, path) -> None:
-        write_confusion_csv(self.cooccurrence, self.labels, path)
-
 
 def multispecies_eval(
     model: FcnModel,
@@ -223,7 +207,8 @@ def multispecies_eval(
     chunk_total = 0
     full_hits = 0
     for clip, label in labeled_clips:
-        for _, _, features in chunk_stream(clip, cp, spec, model.min_frames):
+        for a, b in chunk_stream(clip, cp, spec, model.min_frames):
+            features = spec.extract(clip.with_samples(clip.samples[a:b]))
             pred = int(model.forward(features).argmax())
             cooc[label, pred] += 1
             chunk_hits += int(pred == label)

@@ -16,7 +16,6 @@ from .mel import MelFilterbank, build_filterbank, filterbank_energies, mel_scale
 from .windowing import (
     FrameParams,
     frame_and_window,
-    frame_signal,
     hamming,
     preemphasis,
 )
@@ -40,7 +39,6 @@ __all__ = [
     "mel_to_hz",
     "FrameParams",
     "frame_and_window",
-    "frame_signal",
     "hamming",
     "preemphasis",
 ]

@@ -48,10 +48,6 @@ class FeatureMatrix:
     def frames(self) -> int:
         return self.values.shape[1]
 
-    def frame_time(self, frame_index: int) -> float:
-        """Start time in seconds of the given frame."""
-        return frame_index * self.frame_params.hop / self.sample_rate
-
 
 @lru_cache(maxsize=8)
 def default_filterbank(n_mels: int, fp: FrameParams, sample_rate: int) -> MelFilterbank:
@@ -181,14 +177,6 @@ class Standardizer:
                 f"standardizer fit on {self.mean.shape[0]} bands, got {values.shape[0]}"
             )
         return (values - self.mean[:, None]) / self.std[:, None]
-
-    def transform(self, matrix: FeatureMatrix) -> FeatureMatrix:
-        return FeatureMatrix(
-            values=self.apply(matrix.values),
-            kind=matrix.kind,
-            frame_params=matrix.frame_params,
-            sample_rate=matrix.sample_rate,
-        )
 
     def state(self) -> dict:
         return {"mean": self.mean.tolist(), "std": self.std.tolist()}

@@ -46,11 +46,9 @@ class FrameParams:
             return 0
         return 1 + (num_samples - self.window_len) // self.hop
 
-    def frame_duration(self, sample_rate: int) -> float:
-        return self.window_len / sample_rate
-
-    def hop_duration(self, sample_rate: int) -> float:
-        return self.hop / sample_rate
+    def min_samples(self, frames: int) -> int:
+        """The fewest samples that hold `frames` frames (frames >= 1); inverts n_frames."""
+        return self.window_len + (frames - 1) * self.hop
 
 
 def preemphasis(samples: np.ndarray, b: float = 0.97) -> np.ndarray:
@@ -75,8 +73,11 @@ def hamming(length: int) -> np.ndarray:
     return 0.54 - 0.46 * np.cos(2.0 * np.pi * i / (length - 1))
 
 
-def _frame_view(samples: np.ndarray, fp: FrameParams) -> np.ndarray:
-    """Read-only (n_frames, window_len) view of overlapping frames."""
+def frame_and_window(samples: np.ndarray, fp: FrameParams) -> np.ndarray:
+    """Hamming-windowed frames zero-padded to fft_size: (n_frames, fft_size).
+
+    Frame i holds samples [i*hop, i*hop + window_len).
+    """
     x = np.asarray(samples, dtype=np.float64)
     if x.ndim != 1:
         raise ParameterError("expected a 1-d sample buffer")
@@ -84,17 +85,7 @@ def _frame_view(samples: np.ndarray, fp: FrameParams) -> np.ndarray:
         raise DegenerateInputError(
             f"signal of {x.shape[0]} samples is shorter than one {fp.window_len}-sample window"
         )
-    return sliding_window_view(x, fp.window_len)[:: fp.hop]
-
-
-def frame_signal(samples: np.ndarray, fp: FrameParams) -> np.ndarray:
-    """Slice into overlapping frames of window_len starting every hop samples."""
-    return _frame_view(samples, fp).copy()
-
-
-def frame_and_window(samples: np.ndarray, fp: FrameParams) -> np.ndarray:
-    """Hamming-windowed frames zero-padded to fft_size: (n_frames, fft_size)."""
-    view = _frame_view(samples, fp)
+    view = sliding_window_view(x, fp.window_len)[:: fp.hop]
     frames = np.zeros((view.shape[0], fp.fft_size))
     np.multiply(view, hamming(fp.window_len), out=frames[:, : fp.window_len])
     return frames

@@ -163,11 +163,10 @@ def duration_study(
     """
     if not labeled_clips:
         raise ParameterError("no clips to evaluate")
-    fp = spec.frame_params
     out: dict[float, float] = {}
     for duration in durations:
         sr = labeled_clips[0][0].sample_rate
-        needed = fp.window_len + (model.min_frames - 1) * fp.hop
+        needed = spec.frame_params.min_samples(model.min_frames)
         if duration * sr < needed:
             warnings.warn(
                 f"duration {duration}s holds fewer than {model.min_frames} frames; skipped"

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import struct
+import zlib
 from dataclasses import asdict, dataclass, field, replace
 from typing import Optional
 
@@ -51,7 +52,8 @@ GRID_ACTIVATIONS = ("relu", "tanh", "adaptive")
 LIGHTWEIGHT_PARAM_BUDGET = 500_000
 
 _MAGIC = b"FCNW"
-_VERSION = 1
+# version 2 appends a CRC-32 of everything before it; version 1 files still load
+_VERSION = 2
 _HEADER_KEYS = frozenset({"config", "fixed_shape", "params", "extras"})
 
 
@@ -338,7 +340,8 @@ def param_report(model: FcnModel) -> ParamReport:
 
 
 def save_weights(model: FcnModel, path, extras: Optional[dict] = None) -> None:
-    """Container: magic, version, JSON header, label block, raw float32 data."""
+    """Container: magic, version, JSON header, label block, raw float32 data,
+    then a little-endian CRC-32 of all the preceding bytes."""
     header = {
         "config": asdict(model.config),
         "fixed_shape": list(model.fixed_shape) if model.fixed_shape else None,
@@ -349,18 +352,16 @@ def save_weights(model: FcnModel, path, extras: Optional[dict] = None) -> None:
         "extras": extras or {},
     }
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
+    parts = [_MAGIC, struct.pack("<BI", _VERSION, len(blob)), blob,
+             struct.pack("<I", len(model.label_set))]
+    for name in model.label_set:
+        encoded = name.encode("utf-8")
+        parts += [struct.pack("<I", len(encoded)), encoded]
+    parts += [np.ascontiguousarray(p.data, dtype="<f4").tobytes() for p in model.params()]
+    body = b"".join(parts)
     with open(path, "wb") as f:
-        f.write(_MAGIC)
-        f.write(struct.pack("<B", _VERSION))
-        f.write(struct.pack("<I", len(blob)))
-        f.write(blob)
-        f.write(struct.pack("<I", len(model.label_set)))
-        for name in model.label_set:
-            encoded = name.encode("utf-8")
-            f.write(struct.pack("<I", len(encoded)))
-            f.write(encoded)
-        for p in model.params():
-            f.write(np.ascontiguousarray(p.data, dtype="<f4").tobytes())
+        f.write(body)
+        f.write(struct.pack("<I", zlib.crc32(body)))
 
 
 def _int_tuple(values) -> tuple[int, ...]:
@@ -373,10 +374,11 @@ def _int_tuple(values) -> tuple[int, ...]:
 def load_weights(path) -> tuple[FcnModel, dict]:
     """Rebuild a model bit-exactly; returns (model, extras).
 
-    Every way the container can be malformed (truncation, a header that is
-    not UTF-8 JSON, lacks a field or has an unknown one, an unknown or
-    invalid config, tensor names other than the model's, non-finite
-    weights) raises CorruptionError.
+    Every way the container can be malformed (a checksum mismatch,
+    truncation, a header that is not UTF-8 JSON, lacks a field or has an
+    unknown one, an unknown or invalid config, tensor names other than the
+    model's, non-finite weights) raises CorruptionError. Version 1 files
+    carry no checksum and are read without one.
     """
     with open(path, "rb") as f:
         raw = f.read()
@@ -384,8 +386,12 @@ def load_weights(path) -> tuple[FcnModel, dict]:
         raise CorruptionError(f"{path}: file too short for a weights container")
     if raw[:4] != _MAGIC:
         raise FormatError(f"{path}: bad magic bytes, not a weights container")
-    if raw[4] != _VERSION:
+    if raw[4] not in (1, _VERSION):
         raise FormatError(f"{path}: unsupported container version {raw[4]}")
+    if raw[4] == _VERSION:
+        if len(raw) < 13 or zlib.crc32(raw[:-4]) != int.from_bytes(raw[-4:], "little"):
+            raise CorruptionError(f"{path}: checksum mismatch; the file is damaged")
+        raw = raw[:-4]
     (hlen,) = struct.unpack_from("<I", raw, 5)
     pos = 9
     if len(raw) < pos + hlen:

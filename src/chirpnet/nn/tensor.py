@@ -94,9 +94,6 @@ class Tensor:
     def zero_grad(self) -> None:
         self.grad = None
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
-
     def backward(self, seed: Optional[np.ndarray] = None) -> None:
         """Populate ``grad`` on every upstream tensor with requires_grad.
 

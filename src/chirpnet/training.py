@@ -12,6 +12,7 @@ from __future__ import annotations
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
+from itertools import repeat
 from typing import Optional, Sequence
 
 import numpy as np
@@ -19,7 +20,6 @@ import numpy as np
 from .audio.clip import AudioClip
 from .audio.preprocess import pad_to_length
 from .dsp.features import KINDS, FeatureMatrix, Standardizer, extract_features
-from .dsp.mel import MelFilterbank
 from .dsp.windowing import FrameParams
 from .errors import CorruptionError, DivergenceError, NumericError, ParameterError, ShapeError
 from .metrics import EvalReport, evaluate_predictions
@@ -68,12 +68,19 @@ class TrainHistory:
 
 @dataclass
 class FoldReport:
+    """One fold's scores plus what it trained: the model, the fold's test
+    indices and the feature spec (with its standardizer) the model expects.
+    Only the scores go into to_dict."""
+
     fold: int
     train_accuracy: float
     test_accuracy: float
     report: EvalReport
     history: TrainHistory
     stopped_epoch: int
+    model: FcnModel
+    test_idx: np.ndarray
+    spec: FeatureSpec
 
     def to_dict(self) -> dict:
         d = self.report.to_dict()
@@ -300,27 +307,31 @@ class FeatureSpec:
     frame_params: FrameParams = FrameParams()
     standardizer: Optional[Standardizer] = None
 
-    def extract(self, clip: AudioClip, fb: Optional[MelFilterbank] = None) -> FeatureMatrix:
+    def extract(self, clip: AudioClip) -> FeatureMatrix:
         kwargs = {"fp": self.frame_params, "n_mels": self.n_mels}
-        if fb is not None:
-            kwargs["fb"] = fb
         if self.kind == "mfcc":
             kwargs.update(b=self.preemphasis_b, n_mfcc=self.n_mfcc)
         matrix = extract_features(clip, self.kind, **kwargs)
-        if self.standardizer is not None:
-            matrix = self.standardizer.transform(matrix)
-        return matrix
+        if self.standardizer is None:
+            return matrix
+        return replace(matrix, values=self.standardizer.apply(matrix.values))
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "n_mels": self.n_mels,
-            "n_mfcc": self.n_mfcc,
-            "preemphasis_b": self.preemphasis_b,
-            "window_len": self.frame_params.window_len,
-            "hop": self.frame_params.hop,
-            "fft_size": self.frame_params.fft_size,
+    def to_extras(self) -> dict:
+        """The weights-file extras from_extras reads back into this spec."""
+        extras = {
+            "feature_spec": {
+                "kind": self.kind,
+                "n_mels": self.n_mels,
+                "n_mfcc": self.n_mfcc,
+                "preemphasis_b": self.preemphasis_b,
+                "window_len": self.frame_params.window_len,
+                "hop": self.frame_params.hop,
+                "fft_size": self.frame_params.fft_size,
+            }
         }
+        if self.standardizer is not None:
+            extras["standardizer"] = self.standardizer.state()
+        return extras
 
     @classmethod
     def from_extras(cls, extras: dict) -> "FeatureSpec":
@@ -398,10 +409,13 @@ def run_fold(
     tc: TrainConfig,
     spec: FeatureSpec,
     seeds: tuple[int, int, int],
-) -> tuple[FoldReport, FcnModel, np.ndarray, Optional[Standardizer]]:
-    """Train and evaluate one Monte Carlo fold; returns the trained model,
-    the fold's test indices and, with tc.standardize, the per-band
-    statistics fit on the fold's training set, alongside the report."""
+) -> FoldReport:
+    """Train and evaluate one Monte Carlo fold.
+
+    With tc.standardize, the per-band statistics fit on the padded fit set
+    join the fold's spec, so the test and train-eval sets are extracted by
+    the same call a loaded model's spec makes.
+    """
     split_seed, init_seed, train_seed = seeds
     train_idx, test_idx = monte_carlo_split(labels, fold_seed=split_seed)
 
@@ -419,37 +433,32 @@ def run_fold(
     padded = _prepare_fold_features(clips, labels, pad_idx, spec)
     fit_set = padded[: fit_idx.size]
     val_set = padded[fit_idx.size :]
-    test_set = [(spec.extract(clips[i]).values, labels[i]) for i in test_idx]
-    train_eval = [(spec.extract(clips[i]).values, labels[i]) for i in train_idx]
-    standardizer = None
+    fold_spec = spec
     if tc.standardize:
         standardizer = Standardizer().fit(f for f, _ in fit_set)
-        fit_set, val_set, test_set, train_eval = (
-            [(standardizer.apply(f), label) for f, label in s]
-            for s in (fit_set, val_set, test_set, train_eval)
+        fit_set, val_set = (
+            [(standardizer.apply(f), label) for f, label in s] for s in (fit_set, val_set)
         )
+        fold_spec = replace(spec, standardizer=standardizer)
+    test_set = [(fold_spec.extract(clips[i]).values, labels[i]) for i in test_idx]
+    train_eval = [(fold_spec.extract(clips[i]).values, labels[i]) for i in train_idx]
 
     model = build_model(config, label_set, seed=init_seed)
     history = train_one(fit_set, val_set, model, replace(tc, seed=train_seed))
     report = evaluate(model, test_set, label_set)
     train_report = evaluate(model, train_eval, label_set)
 
-    fold_report = FoldReport(
+    return FoldReport(
         fold=fold,
         train_accuracy=train_report.accuracy,
         test_accuracy=report.accuracy,
         report=report,
         history=history,
         stopped_epoch=history.epochs(),
+        model=model,
+        test_idx=test_idx,
+        spec=fold_spec,
     )
-    return fold_report, model, test_idx, standardizer
-
-
-def _run_fold_star(args):
-    """Run one fold; keep the whole result for the kept fold, else the report alone."""
-    *fold_args, keep = args
-    result = run_fold(*fold_args)
-    return result if keep else result[:1]
 
 
 def cross_validate(
@@ -461,28 +470,19 @@ def cross_validate(
     n_folds: int = 10,
     spec: FeatureSpec = FeatureSpec(),
     jobs: int = 1,
-    keep_last_model: bool = False,
-) -> CvSummary | tuple[CvSummary, FcnModel, np.ndarray, Optional[Standardizer]]:
+) -> CvSummary:
     """n_folds independent splits, a fresh model per fold, mean/std summary.
 
-    With keep_last_model=True, the final fold's trained model, its test
-    indices and its standardizer (None unless tc.standardize) are returned
-    for reuse (saved weights, duration studies, detection demos).
+    Each fold's report keeps its trained model, test indices and feature
+    spec, so summary.folds[-1] is ready to save or reuse.
     """
     if len(clips) != len(labels):
         raise ParameterError("clips and labels differ in length")
     seeds = _fold_seeds(tc.seed, n_folds)
-    args = [
-        (fold, clips, labels, label_set, config, tc, spec, seeds[fold],
-         keep_last_model and fold == n_folds - 1)
-        for fold in range(n_folds)
-    ]
+    shared = (clips, labels, label_set, config, tc, spec)
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_run_fold_star, args))
+            reports = list(pool.map(run_fold, range(n_folds), *map(repeat, shared), seeds))
     else:
-        results = [_run_fold_star(a) for a in args]
-    summary = summarize_folds([r[0] for r in results])
-    if not keep_last_model:
-        return summary
-    return (summary, *results[-1][1:])
+        reports = [run_fold(fold, *shared, seeds[fold]) for fold in range(n_folds)]
+    return summarize_folds(reports)

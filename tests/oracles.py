@@ -5,6 +5,8 @@ formulas) on purpose: these are the second route that the fast vectorized
 code must agree with. Nothing in this module imports from chirpnet.
 """
 
+import zlib
+
 import numpy as np
 
 
@@ -246,3 +248,15 @@ def adam_unroll(param0: float, grads: list[float], lr: float = 1e-3,
         p = p - lr * m_hat / (np.sqrt(v_hat) + eps)
         out.append(p)
     return out
+
+
+# -- containers -------------------------------------------------------------------
+
+
+def seal_weights(body: bytes) -> bytes:
+    """A version-2 weights file from its body: the body, then its CRC-32, little-endian.
+
+    Tests that damage a container's contents on purpose reseal it, so the
+    load reaches the check under test instead of stopping at the checksum.
+    """
+    return body + zlib.crc32(body).to_bytes(4, "little")

@@ -70,13 +70,13 @@ def cv_bundle():
     """The 4-class benchmark run shared by the training-dependent checks."""
     t0 = time.monotonic()
     clips, labels, label_set = make_desk_dataset(n_per_class=40, duration=2.0, seed=7)
-    summary, model, test_idx, _ = cross_validate(
-        clips, labels, label_set, DESK_CONFIG, DESK_TRAIN,
-        n_folds=10, spec=DESK_SPEC, keep_last_model=True,
+    summary = cross_validate(
+        clips, labels, label_set, DESK_CONFIG, DESK_TRAIN, n_folds=10, spec=DESK_SPEC,
     )
+    last = summary.folds[-1]
     return SimpleNamespace(
         clips=clips, labels=labels, label_set=label_set,
-        summary=summary, model=model, test_idx=test_idx,
+        summary=summary, model=last.model, test_idx=last.test_idx,
         elapsed=time.monotonic() - t0,
     )
 
@@ -298,10 +298,10 @@ def test_09_bitwise_reproducibility(tmp_path):
             for _ in range(8):
                 clips.append(make_clip(kind, duration=0.5, rng=rng))
                 labels.append(idx)
-        summary, model, test_idx, _ = cross_validate(
-            clips, labels, label_set, config, tc,
-            n_folds=2, spec=spec, keep_last_model=True, jobs=1,
+        summary = cross_validate(
+            clips, labels, label_set, config, tc, n_folds=2, spec=spec, jobs=1,
         )
+        model, test_idx = summary.folds[-1].model, summary.folds[-1].test_idx
         test_set = [(spec.extract(clips[i]).values, labels[i]) for i in test_idx]
         report = evaluate(model, test_set, label_set)
         return summary, model, report

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import chirpnet
+import oracles
 from chirpnet.audio.clip import decode_audio
 from chirpnet.audio.fetch import FetchReport
 from chirpnet.audio.manifest import ManifestEntry, load_manifest
@@ -165,9 +166,8 @@ class TestStandardizedModel:
                            activation="tanh", n_classes=len(names))
         tc = TrainConfig(epochs_max=3, batch_size=8, early_stop_patience=3,
                          standardize=True, seed=0)
-        _, model, _, standardizer = cross_validate(
-            clips, labels, names, config, tc, n_folds=2, spec=spec, keep_last_model=True,
-        )
+        last = cross_validate(clips, labels, names, config, tc, n_folds=2, spec=spec).folds[-1]
+        model, standardizer = last.model, last.spec.standardizer
         features = [standardizer.apply(spec.extract(c).values) for c in clips]
         expected = evaluate(model, list(zip(features, labels)), names)
 
@@ -192,7 +192,7 @@ class TestStandardizedModel:
     @pytest.mark.parametrize("damage", ["flipped header byte", "renamed params", "nan weight"])
     def test_corrupt_container_exits_with_bad_data(self, workspace, tmp_path, capsys, damage):
         _, manifest, model = workspace
-        raw = bytearray(model.read_bytes())
+        raw = bytearray(model.read_bytes()[:-4])  # resealed below, so the damage is parsed
         if damage == "flipped header byte":
             raw[10] ^= 0x80
         elif damage == "renamed params":
@@ -201,7 +201,7 @@ class TestStandardizedModel:
         else:
             raw[-4:] = np.float32(np.nan).tobytes()
         bad = tmp_path / "bad.fcnw"
-        bad.write_bytes(bytes(raw))
+        bad.write_bytes(oracles.seal_weights(bytes(raw)))
         assert main(["eval", str(manifest), "--model", str(bad)]) == 3
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err

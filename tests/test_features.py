@@ -84,7 +84,6 @@ class TestMelSpectrogram:
         assert mat.bands == 24
         assert mat.frames == FP.n_frames(int(0.5 * 44100))
         assert mat.kind == "mel-db"
-        assert mat.frame_time(3) == pytest.approx(3 * 441 / 44100)
 
 
 class TestMfcc:
@@ -176,7 +175,7 @@ class TestStandardizer:
     def test_fitted_stats_normalize_the_training_set(self):
         mats = self._mats()
         s = Standardizer().fit(mats)
-        stacked = np.concatenate([s.transform(m).values for m in mats], axis=1)
+        stacked = np.concatenate([s.apply(m.values) for m in mats], axis=1)
         np.testing.assert_allclose(stacked.mean(axis=1), 0.0, atol=1e-10)
         np.testing.assert_allclose(stacked.std(axis=1), 1.0, atol=1e-10)
 
@@ -184,19 +183,17 @@ class TestStandardizer:
         mat = FeatureMatrix(values=np.full((3, 10), 7.0), kind="mel-db",
                             frame_params=FP, sample_rate=44100)
         s = Standardizer().fit([mat])
-        out = s.transform(mat)
-        np.testing.assert_array_equal(out.values, 0.0)
+        np.testing.assert_array_equal(s.apply(mat.values), 0.0)
 
     def test_state_round_trip(self):
         mats = self._mats()
         s = Standardizer().fit(mats)
         restored = Standardizer.from_state(s.state())
-        np.testing.assert_allclose(restored.transform(mats[0]).values,
-                                   s.transform(mats[0]).values)
+        np.testing.assert_allclose(restored.apply(mats[0].values), s.apply(mats[0].values))
 
     def test_unfitted_transform_rejected(self):
         with pytest.raises(ParameterError):
-            Standardizer().transform(self._mats()[0])
+            Standardizer().apply(self._mats()[0].values)
 
     def test_empty_fit_rejected(self):
         with pytest.raises(ParameterError):
@@ -206,7 +203,7 @@ class TestStandardizer:
         mats = self._mats()
         a = Standardizer().fit(mats)
         b = Standardizer().fit([m.values for m in mats])
-        np.testing.assert_array_equal(a.apply(mats[1].values), b.transform(mats[1]).values)
+        np.testing.assert_array_equal(a.apply(mats[1].values), b.apply(mats[1].values))
 
     def test_band_count_mismatch_rejected(self):
         s = Standardizer().fit(self._mats())

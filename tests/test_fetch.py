@@ -1,6 +1,9 @@
 """Archive client behavior against a scripted in-memory transport."""
 
+import io
 import json
+import urllib.request
+from urllib.error import HTTPError
 
 import pytest
 
@@ -9,6 +12,7 @@ from chirpnet.audio.fetch import (
     FetchConfig,
     FetchQuery,
     fetch_recordings,
+    http_transport,
 )
 from chirpnet.errors import FetchError, FormatError, ParameterError
 
@@ -246,3 +250,28 @@ class TestFetchConfig:
         p.write_text("base_url https://api.example\n")
         with pytest.raises(FormatError, match="expected key = value"):
             FetchConfig.from_file(p)
+
+
+class TestHttpTransport:
+    """The default transport, with urlopen replaced: no socket is opened."""
+
+    def test_ok_returns_status_and_body(self, monkeypatch):
+        class Response(io.BytesIO):
+            status = 200
+
+        opened = []
+
+        def fake_urlopen(url, timeout):
+            opened.append((url, timeout))
+            return Response(b"payload")
+
+        monkeypatch.setattr(urllib.request, "urlopen", fake_urlopen)
+        assert http_transport("https://archive.example/a") == (200, b"payload")
+        assert opened == [("https://archive.example/a", 60)]
+
+    def test_http_error_returns_its_status(self, monkeypatch):
+        def fake_urlopen(url, timeout):
+            raise HTTPError(url, 404, "Not Found", hdrs=None, fp=None)
+
+        monkeypatch.setattr(urllib.request, "urlopen", fake_urlopen)
+        assert http_transport("https://archive.example/missing") == (404, b"")

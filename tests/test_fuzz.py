@@ -6,14 +6,19 @@ possibly cut off. The decoder either returns a well-formed result or
 raises a ChirpnetError subclass; any other exception is a bug. Examples
 are derandomized and no example database is written, so the run is the
 same every time. A few damaged files also go through the command line,
-which must exit 3 without a traceback.
+which must exit 3 without a traceback. Damaged weights files are resealed
+with a matching checksum, so the damage reaches the container's parser;
+one test flips every byte of a sealed file instead.
 """
+
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from chirpnet.audio.manifest import load_manifest
 from chirpnet.audio.wavio import read_wav, wav_info, write_wav
 from chirpnet.cli import main
@@ -128,7 +133,7 @@ def valid_weights(workdir):
                        enforce_grid=False)
     model = build_model(config, ["wren", "finch"], seed=0)
     path = workdir / "valid.fcnw"
-    save_weights(model, path, extras={"feature_spec": FeatureSpec(n_mels=16).to_dict()})
+    save_weights(model, path, extras=FeatureSpec(n_mels=16).to_extras())
     return path.read_bytes()
 
 
@@ -136,7 +141,7 @@ def valid_weights(workdir):
 @given(data=st.data())
 def test_damaged_weights(workdir, valid_weights, data):
     path = workdir / "damaged.fcnw"
-    path.write_bytes(data.draw(damaged(valid_weights)))
+    path.write_bytes(oracles.seal_weights(data.draw(damaged(valid_weights[:-4]))))
     try:
         model, _ = load_weights(path)
     except ChirpnetError:
@@ -190,7 +195,29 @@ def test_cli_detect_damaged_weights(workdir, valid_weights, capsys, damage):
     audio = workdir / "cli.wav"
     write_wav(audio, np.zeros(8000), 8000)
     model = workdir / "cli-damaged.fcnw"
-    model.write_bytes(WEIGHTS_DAMAGE[damage](valid_weights))
+    model.write_bytes(oracles.seal_weights(WEIGHTS_DAMAGE[damage](valid_weights[:-4])))
     assert main(["detect", str(audio), "--model", str(model)]) == 3
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_cli_detect_every_flipped_byte(workdir, valid_weights, capsys):
+    """Flipping any one byte of a sealed file, the checksum included, exits 3."""
+    t0 = time.monotonic()
+    audio = workdir / "cli.wav"
+    write_wav(audio, np.zeros(8000), 8000)
+    model = workdir / "cli-flipped.fcnw"
+    model.write_bytes(valid_weights)
+    assert main(["detect", str(audio), "--model", str(model)]) == 0
+    capsys.readouterr()
+    codes = {}
+    for i in range(len(valid_weights)):
+        raw = bytearray(valid_weights)
+        raw[i] ^= 0xFF
+        model.write_bytes(bytes(raw))
+        rc = main(["detect", str(audio), "--model", str(model)])
+        err = capsys.readouterr().err
+        if rc != 3 or not err.startswith("error:") or "Traceback" in err:
+            codes[i] = (rc, err)
+    assert codes == {}
+    assert time.monotonic() - t0 < 20.0

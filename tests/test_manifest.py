@@ -43,18 +43,6 @@ class TestDatasetManifest:
                 entries=[ManifestEntry("a.wav", "owl", None)], label_set=["wren"]
             )
 
-    def test_per_class_counts(self):
-        m = DatasetManifest(
-            entries=[
-                ManifestEntry("a.wav", "wren", None),
-                ManifestEntry("b.wav", "wren", None),
-                ManifestEntry("c.wav", "finch", None),
-            ],
-            label_set=["finch", "wren", "owl"],
-        )
-        assert m.per_class_counts() == {"finch": 1, "wren": 2, "owl": 0}
-        assert len(m) == 3
-
 
 class TestLoadManifest:
     def test_round_trip(self, tmp_path):

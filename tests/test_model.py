@@ -8,6 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import oracles
 from chirpnet.errors import (
     ConfigError,
     CorruptionError,
@@ -432,8 +433,8 @@ class TestPersistence:
         model = build_model(SMALL, LABELS3, seed=0)
         p = tmp_path / "x.fcnw"
         save_weights(model, p)
-        raw = p.read_bytes()
-        p.write_bytes(raw[:-10])
+        body = p.read_bytes()[:-4]
+        p.write_bytes(oracles.seal_weights(body[:-10]))
         with pytest.raises(CorruptionError, match="truncated"):
             load_weights(p)
 
@@ -441,9 +442,40 @@ class TestPersistence:
         model = build_model(SMALL, LABELS3, seed=0)
         p = tmp_path / "x.fcnw"
         save_weights(model, p)
-        p.write_bytes(p.read_bytes() + b"\x00\x00")
+        p.write_bytes(oracles.seal_weights(p.read_bytes()[:-4] + b"\x00\x00"))
         with pytest.raises(CorruptionError, match="trailing"):
             load_weights(p)
+
+    def test_writes_version_2_with_crc_trailer(self, tmp_path):
+        p = tmp_path / "x.fcnw"
+        save_weights(build_model(SMALL, LABELS3, seed=0), p)
+        raw = p.read_bytes()
+        assert raw[4] == 2
+        assert oracles.seal_weights(raw[:-4]) == raw
+
+    def test_flipped_digit_in_a_valid_value_fails_the_checksum(self, tmp_path):
+        p = tmp_path / "x.fcnw"
+        save_weights(build_model(SMALL, LABELS3, seed=0), p,
+                     extras={"feature_spec": {"window_len": 882}})
+        raw = p.read_bytes()
+        p.write_bytes(raw.replace(b'"window_len": 882', b'"window_len": 872'))
+        with pytest.raises(CorruptionError, match="checksum"):
+            load_weights(p)
+        p.write_bytes(raw[:12])
+        with pytest.raises(CorruptionError, match="checksum"):
+            load_weights(p)
+
+    def test_version_1_file_loads_the_same_tensors(self, tmp_path):
+        """A version-1 file is a version-2 body with version byte 1 and no trailer."""
+        model = build_model(SMALL, LABELS3, seed=4)
+        p = tmp_path / "x.fcnw"
+        save_weights(model, p, extras={"note": 1})
+        raw = p.read_bytes()
+        p.write_bytes(raw[:4] + b"\x01" + raw[5:-4])
+        back, extras = load_weights(p)
+        assert extras == {"note": 1}
+        for a, b in zip(model.state_arrays(), back.state_arrays()):
+            np.testing.assert_array_equal(a, b)
 
 
 def _saved(tmp_path, model=None):
@@ -453,11 +485,14 @@ def _saved(tmp_path, model=None):
 
 
 def _edit_header(path, edit):
-    """Replace the JSON header bytes with edit(header_bytes), fixing the length field."""
-    raw = path.read_bytes()
+    """Replace the JSON header bytes with edit(header_bytes), fixing the length
+    field and the checksum."""
+    raw = path.read_bytes()[:-4]
     (hlen,) = struct.unpack_from("<I", raw, 5)
     blob = edit(raw[9 : 9 + hlen])
-    path.write_bytes(raw[:5] + struct.pack("<I", len(blob)) + blob + raw[9 + hlen :])
+    path.write_bytes(
+        oracles.seal_weights(raw[:5] + struct.pack("<I", len(blob)) + blob + raw[9 + hlen :])
+    )
 
 
 def _edit_config(**changes):
@@ -470,21 +505,25 @@ def _edit_config(**changes):
 
 
 class TestCorruptContainer:
-    """Every malformed container raises CorruptionError, never a bare Python error."""
+    """Every malformed container raises CorruptionError, never a bare Python error.
+
+    The damaged files are resealed with a matching checksum, so each reaches
+    the check it is named for.
+    """
 
     def test_flipped_header_byte_is_not_utf8(self, tmp_path):
         p = _saved(tmp_path)
-        raw = bytearray(p.read_bytes())
+        raw = bytearray(p.read_bytes()[:-4])
         raw[10] ^= 0x80  # the opening quote of the first key becomes a stray continuation byte
-        p.write_bytes(bytes(raw))
+        p.write_bytes(oracles.seal_weights(bytes(raw)))
         with pytest.raises(CorruptionError, match="UTF-8"):
             load_weights(p)
 
     def test_header_not_json(self, tmp_path):
         p = _saved(tmp_path)
-        raw = bytearray(p.read_bytes())
+        raw = bytearray(p.read_bytes()[:-4])
         raw[9] ^= 0x01  # "{" -> "z"
-        p.write_bytes(bytes(raw))
+        p.write_bytes(oracles.seal_weights(bytes(raw)))
         with pytest.raises(CorruptionError, match="JSON"):
             load_weights(p)
 

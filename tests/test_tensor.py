@@ -64,14 +64,6 @@ def test_grad_cast_to_data_dtype():
     assert x.grad.dtype == np.float32
 
 
-def test_detach_breaks_the_graph():
-    x = parameter([1.0, 2.0], dtype=np.float64)
-    y = F.tanh(x)
-    loss = F.tsum(y.detach())
-    loss.backward()
-    assert x.grad is None
-
-
 def test_cycle_detection():
     a = Tensor([1.0])
     b = Tensor([1.0], parents=(a,), backward_fn=lambda g: None)

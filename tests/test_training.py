@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from chirpnet import training
+from chirpnet.dsp.features import Standardizer
 from chirpnet.dsp.windowing import FrameParams
 from chirpnet.errors import DivergenceError, ParameterError, ShapeError
 from chirpnet.model import FcnConfig, build_model
@@ -227,7 +228,12 @@ class TestFeatureSpec:
             preemphasis_b=0.95,
             frame_params=FrameParams(window_len=400, hop=160, fft_size=512),
         )
-        assert FeatureSpec.from_dict(spec.to_dict()) == spec
+        assert FeatureSpec.from_extras(spec.to_extras()) == spec
+        fitted = Standardizer().fit([np.arange(26 * 5, dtype=float).reshape(26, 5)])
+        back = FeatureSpec.from_extras(replace(spec, standardizer=fitted).to_extras())
+        assert replace(back, standardizer=None) == spec
+        np.testing.assert_array_equal(back.standardizer.mean, fitted.mean)
+        np.testing.assert_array_equal(back.standardizer.std, fitted.std)
 
     def test_extract_band_counts(self):
         clips, _, _ = make_desk_dataset(n_per_class=1, duration=0.3, seed=0)
@@ -266,25 +272,30 @@ class TestCrossValidate:
         assert d["fold_test_accuracies"] == accs
 
     def test_keep_last_model(self):
+        """Each fold keeps its model and test indices; to_dict leaves them out."""
         clips, labels, names = self.dataset()
         spec = FeatureSpec(kind="mel-db", n_mels=16)
-        summary, model, test_idx, standardizer = cross_validate(
-            clips, labels, names, TINY_CONFIG, self.tc(),
-            n_folds=2, spec=spec, keep_last_model=True,
+        summary = cross_validate(
+            clips, labels, names, TINY_CONFIG, self.tc(), n_folds=2, spec=spec,
         )
+        last = summary.folds[-1]
+        model, test_idx, standardizer = last.model, last.test_idx, last.spec.standardizer
         assert model.label_set == names
         assert test_idx.size > 0
         assert test_idx.max() < len(clips)
         assert standardizer is None
+        assert last.spec == spec
+        assert not {"model", "test_idx", "spec"} & set(last.to_dict())
 
     def test_keep_last_model_returns_fold_statistics(self):
+        """With standardize, each fold's spec carries the statistics fit on its fit set."""
         clips, labels, names = self.dataset()
         spec = FeatureSpec(kind="mel-db", n_mels=16)
         tc = replace(self.tc(), standardize=True)
-        summary, _, _, standardizer = cross_validate(
-            clips, labels, names, TINY_CONFIG, tc, n_folds=2, spec=spec, keep_last_model=True,
-        )
+        summary = cross_validate(clips, labels, names, TINY_CONFIG, tc, n_folds=2, spec=spec)
+        standardizer = summary.folds[-1].spec.standardizer
         assert standardizer.mean.shape == standardizer.std.shape == (16,)
+        assert summary.folds[0].spec.standardizer is not standardizer
         assert summary.to_dict() == cross_validate(
             clips, labels, names, TINY_CONFIG, tc, n_folds=2, spec=spec
         ).to_dict()
@@ -335,9 +346,10 @@ class TestCrossValidate:
         clips, labels, names = self.dataset()
         spec = FeatureSpec(kind="mel-db", n_mels=16)
         tc = replace(self.tc(), standardize=True)
-        _, serial_model, serial_idx, serial_std = cross_validate(
-            clips, labels, names, TINY_CONFIG, tc, n_folds=2, spec=spec, keep_last_model=True,
-        )
+        serial = cross_validate(
+            clips, labels, names, TINY_CONFIG, tc, n_folds=2, spec=spec,
+        ).folds[-1]
+        serial_model, serial_idx, serial_std = serial.model, serial.test_idx, serial.spec.standardizer
         parent_calls = []  # workers append to their own copies
 
         def counting_train_one(*args, **kwargs):
@@ -346,10 +358,10 @@ class TestCrossValidate:
 
         original = training.train_one
         monkeypatch.setattr(training, "train_one", counting_train_one)
-        _, model, test_idx, std = cross_validate(
-            clips, labels, names, TINY_CONFIG, tc, n_folds=2, spec=spec,
-            keep_last_model=True, jobs=2,
-        )
+        last = cross_validate(
+            clips, labels, names, TINY_CONFIG, tc, n_folds=2, spec=spec, jobs=2,
+        ).folds[-1]
+        model, test_idx, std = last.model, last.test_idx, last.spec.standardizer
         assert parent_calls == []
         np.testing.assert_array_equal(test_idx, serial_idx)
         for a, b in zip(serial_model.state_arrays(), model.state_arrays()):
