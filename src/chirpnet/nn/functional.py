@@ -79,6 +79,15 @@ def _im2col(xp: np.ndarray, kh: int, kw: int, buf: Optional[np.ndarray] = None) 
     return flat.reshape(n, k)
 
 
+def _bias_grad(gflat: np.ndarray) -> np.ndarray:
+    """Column sums of an (N, C) gradient as one GEMV.
+
+    ``sum(axis=0)`` adds one row at a time, which is several times slower on
+    the tall, narrow gradients of a conv layer.
+    """
+    return np.ones(gflat.shape[0], gflat.dtype) @ gflat
+
+
 def conv2d(x, kernels, bias, same_padding: bool = True) -> Tensor:
     """2-D cross-correlation over (B, H, W, Cin) with kernels (Cout, Cin, kh, kw).
 
@@ -133,16 +142,16 @@ def conv2d(x, kernels, bias, same_padding: bool = True) -> Tensor:
         gflat = gd.reshape(b * oh * ow, cout)
         if _needs(kernels):
             dw = (cols.T @ gflat).reshape(kh, kw, cin, cout).transpose(3, 2, 0, 1)
-            kernels.accumulate_grad(dw)
+            kernels._own_grad(dw)
         if _needs(bias):
-            bias.accumulate_grad(gflat.sum(axis=0))
+            bias._own_grad(_bias_grad(gflat))
         if _needs(x):
             # correlate the gradient, padded to full size, with the flipped kernels
             q = kh - 1 - pad
             gp = _pad_hw(gd, q) if q else gd
             wflip = kernels.data[:, :, ::-1, ::-1].transpose(2, 3, 0, 1).reshape(kh * kw * cout, cin)
             dx = (_im2col(gp, kh, kw) @ wflip).reshape(b, h, w, cin)
-            x.accumulate_grad(dx[0] if squeeze else dx)
+            x._own_grad(dx[0] if squeeze else dx)
 
     return Tensor(result_data, parents=(x, kernels, bias), backward_fn=backward)
 
@@ -184,7 +193,7 @@ def maxpool2(x) -> Tensor:
             # a product, not np.copyto(where=), which is several times slower on strided views
             np.multiply(gd, hit, out=dx[:, rows, cols])
             taken |= hit
-        x.accumulate_grad(dx[0] if squeeze else dx)
+        x._own_grad(dx[0] if squeeze else dx)
 
     return Tensor(result_data, parents=(x,), backward_fn=backward)
 
@@ -205,7 +214,7 @@ def global_avg_pool(x) -> Tensor:
     def backward(g: np.ndarray) -> None:
         gd = g if not squeeze else g[None]
         dx = np.broadcast_to(gd[:, None, None, :] / (h * w), xd.shape).astype(xd.dtype)
-        x.accumulate_grad(dx[0] if squeeze else dx)
+        x._own_grad(dx[0] if squeeze else dx)
 
     return Tensor(result_data, parents=(x,), backward_fn=backward)
 
@@ -220,7 +229,7 @@ def relu(x) -> Tensor:
         return Tensor(out)
 
     def backward(g: np.ndarray) -> None:
-        x.accumulate_grad(g * (x.data > 0))
+        x._own_grad(g * (x.data > 0))
 
     return Tensor(out, parents=(x,), backward_fn=backward)
 
@@ -232,7 +241,7 @@ def tanh(x) -> Tensor:
         return Tensor(out)
 
     def backward(g: np.ndarray) -> None:
-        x.accumulate_grad(g * (1.0 - out * out))
+        x._own_grad(g * (1.0 - out * out))
 
     return Tensor(out, parents=(x,), backward_fn=backward)
 
@@ -253,10 +262,10 @@ def adaptive(x, a, n: float) -> Tensor:
     def backward(g: np.ndarray) -> None:
         gb = g * (1.0 - out * out)
         if _needs(x):
-            x.accumulate_grad(gb * (n * aval))
+            x._own_grad(gb * (n * aval))
         if _needs(a):
             da = np.sum(gb * n * x.data)
-            a.accumulate_grad(np.asarray(da, dtype=a.dtype).reshape(a.shape))
+            a._own_grad(np.asarray(da, dtype=a.dtype).reshape(a.shape))
 
     return Tensor(out, parents=(x, a), backward_fn=backward)
 
@@ -293,7 +302,7 @@ def softmax(logits) -> Tensor:
 
     def backward(g: np.ndarray) -> None:
         inner = np.sum(g * out, axis=-1, keepdims=True)
-        x.accumulate_grad((g - inner) * out)
+        x._own_grad((g - inner) * out)
 
     return Tensor(out, parents=(x,), backward_fn=backward)
 
@@ -323,7 +332,7 @@ def cross_entropy_mean(pred, targets) -> Tensor:
         live = picked >= PROB_FLOOR
         rows = np.arange(b)[live]
         dp[rows, targets[live]] = -float(g) / (b * clamped[live])
-        pred.accumulate_grad(dp[0] if squeeze else dp)
+        pred._own_grad(dp[0] if squeeze else dp)
 
     return Tensor(out, parents=(pred,), backward_fn=backward)
 
@@ -355,7 +364,7 @@ def dropout(x, rate: float, train_mode: bool, rng: Optional[np.random.Generator]
         return Tensor(out)
 
     def backward(g: np.ndarray) -> None:
-        x.accumulate_grad(g * mask * scale)
+        x._own_grad(g * mask * scale)
 
     return Tensor(out, parents=(x,), backward_fn=backward)
 
@@ -397,12 +406,12 @@ def dense(x, weights, bias) -> Tensor:
     def backward(g: np.ndarray) -> None:
         gd = g if not squeeze else g[None]
         if _needs(weights):
-            weights.accumulate_grad(xd.T @ gd)
+            weights._own_grad(xd.T @ gd)
         if _needs(bias):
-            bias.accumulate_grad(gd.sum(axis=0))
+            bias._own_grad(_bias_grad(gd))
         if _needs(x):
             dx = gd @ weights.data.T
-            x.accumulate_grad(dx[0] if squeeze else dx)
+            x._own_grad(dx[0] if squeeze else dx)
 
     return Tensor(result_data, parents=(x, weights, bias), backward_fn=backward)
 
@@ -415,7 +424,7 @@ def tsum(x) -> Tensor:
         return Tensor(out)
 
     def backward(g: np.ndarray) -> None:
-        x.accumulate_grad(np.full_like(x.data, float(g)))
+        x._own_grad(np.full_like(x.data, float(g)))
 
     return Tensor(out, parents=(x,), backward_fn=backward)
 

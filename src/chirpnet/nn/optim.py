@@ -67,7 +67,8 @@ class Adam:
             if not np.all(np.isfinite(p.grad)):
                 raise NumericError("non-finite gradient in Adam step")
             st = self._state[id(p)]
-            p.data = adam_step(p.data, p.grad, st, self.t, lr=self.lr).astype(p.data.dtype)
+            new = adam_step(p.data, p.grad, st, self.t, lr=self.lr)
+            p.data = new.astype(p.data.dtype, copy=False)
 
     def zero_grad(self) -> None:
         for p in self.params:

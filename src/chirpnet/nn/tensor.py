@@ -91,6 +91,20 @@ class Tensor:
         else:
             self.grad += g
 
+    def _own_grad(self, g: np.ndarray) -> None:
+        """accumulate_grad for an array the caller has just built and drops.
+
+        The first gradient is stored as is when it has this tensor's dtype,
+        not copied. Backward closures pass their fresh arrays here; a
+        gradient handed through from elsewhere (an identity op, a seed, an
+        array given to two parents) goes to accumulate_grad, which copies
+        it, so no two tensors share a gradient buffer.
+        """
+        if self.grad is None and g.dtype == self.data.dtype and g.shape == self.data.shape:
+            self.grad = g
+        else:
+            self.accumulate_grad(g)
+
     def zero_grad(self) -> None:
         self.grad = None
 

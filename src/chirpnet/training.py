@@ -198,7 +198,7 @@ def train_one(
     Expects equal-shaped (bands, frames) feature arrays. Stops when the
     validation loss has not improved by min_delta for patience epochs, then
     restores the best-epoch weights. Raises DivergenceError on a non-finite
-    loss, naming the epoch and batch.
+    loss or gradient, naming the epoch and batch.
     """
     if not train_set or not val_set:
         raise ParameterError("train and validation sets must be nonempty")
@@ -228,17 +228,15 @@ def train_one(
             try:
                 probs = model.forward_tensor(Tensor(xb), train_mode=True)
                 loss = F.cross_entropy_mean(probs, yb)
+                if not np.isfinite(loss.data):
+                    raise NumericError("non-finite training loss")
+                optimizer.zero_grad()
+                loss.backward(seed=np.asarray(1.0, dtype=loss.dtype))
+                optimizer.step()
             except NumericError as exc:
                 raise DivergenceError(
                     f"non-finite values during training at epoch {epoch}, batch {b}: {exc}"
                 ) from exc
-            if not np.isfinite(loss.data):
-                raise DivergenceError(
-                    f"non-finite training loss at epoch {epoch}, batch {b}"
-                )
-            optimizer.zero_grad()
-            loss.backward(seed=np.asarray(1.0, dtype=loss.dtype))
-            optimizer.step()
             epoch_loss += float(loss.data) * idx.size
             epoch_correct += int((probs.data.argmax(axis=1) == yb).sum())
 

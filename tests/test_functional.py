@@ -339,6 +339,23 @@ class TestDenseAndShape:
         np.testing.assert_array_equal(out.reshape(x.shape), x)
 
 
+@pytest.mark.parametrize("dtype,rtol", [(np.float32, 1e-5), (np.float64, 1e-12)])
+def test_bias_gradients_match_a_float64_sum(dtype, rtol):
+    """conv2d and dense bias gradients against a float64 sum of the upstream
+    gradient, at the desk first layer's 16x32x199x8 output."""
+    rng = np.random.default_rng(8)
+    # offset so that no column sum lies near zero, where rtol would mean nothing
+    g = (rng.standard_normal((16, 32, 199, 8)) + 0.5).astype(dtype)
+    want = g.astype(np.float64).sum(axis=(0, 1, 2))
+    x = rng.standard_normal((16, 32, 199, 1)).astype(dtype)
+    bias = parameter(np.zeros(8), dtype=dtype)
+    F.conv2d(x, rng.standard_normal((8, 1, 3, 3)).astype(dtype), bias).backward(g)
+    np.testing.assert_allclose(bias.grad, want, rtol=rtol)
+    bias = parameter(np.zeros(8), dtype=dtype)
+    F.dense(x.reshape(-1, 1), np.ones((1, 8), dtype), bias).backward(g.reshape(-1, 8))
+    np.testing.assert_allclose(bias.grad, want, rtol=rtol)
+
+
 def _op_results(x, k, b, a, probs):
     """One result of every op, for inputs that would all want gradients."""
     conv = F.conv2d(x, k, b)

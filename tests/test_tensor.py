@@ -43,6 +43,39 @@ def test_gradient_accumulates_across_shared_use():
     np.testing.assert_allclose(x.grad, expected, rtol=1e-12)
 
 
+@pytest.mark.parametrize(
+    "op", [lambda x: F.dropout(x, 0.5, train_mode=False), F.flatten], ids=["dropout", "flatten"]
+)
+def test_passed_through_gradient_is_copied(op):
+    x = parameter(np.ones((2, 3, 4, 1)))
+    out = op(x)
+    out.backward(np.ones(out.shape, dtype=np.float32))
+    assert not np.shares_memory(x.grad, out.grad)
+
+
+def test_array_given_to_two_parents_is_not_shared():
+    a = parameter([1.0, 2.0], dtype=np.float64)
+    b = parameter([3.0, 4.0], dtype=np.float64)
+    total = Tensor(
+        a.data + b.data,
+        parents=(a, b),
+        backward_fn=lambda g: (a.accumulate_grad(g), b.accumulate_grad(g)),
+    )
+    total.backward(np.array([1.0, 1.0]))
+    a.accumulate_grad(np.array([5.0, 5.0]))
+    np.testing.assert_array_equal(a.grad, [6.0, 6.0])
+    np.testing.assert_array_equal(b.grad, [1.0, 1.0])
+
+
+def test_backward_leaves_its_seed_unchanged():
+    y = F.tanh(parameter([1.0, -2.0], dtype=np.float64))
+    seed = np.array([1.0, 2.0])
+    y.backward(seed=seed)
+    y.backward(seed=seed)
+    np.testing.assert_array_equal(seed, [1.0, 2.0])
+    np.testing.assert_array_equal(y.grad, [2.0, 4.0])
+
+
 def test_repeated_backward_accumulates_until_zero_grad():
     x = parameter([1.0], dtype=np.float64)
     F.tsum(x).backward()

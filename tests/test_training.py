@@ -10,6 +10,7 @@ from chirpnet.dsp.features import Standardizer
 from chirpnet.dsp.windowing import FrameParams
 from chirpnet.errors import DivergenceError, ParameterError, ShapeError
 from chirpnet.model import FcnConfig, build_model
+from chirpnet.nn import functional as F
 from chirpnet.synth import make_desk_dataset
 from chirpnet.training import (
     CvSummary,
@@ -138,6 +139,39 @@ class TestTrainOne:
         tc = TrainConfig(epochs_max=5, batch_size=4, early_stop_patience=5, seed=2)
         with np.errstate(invalid="ignore"):
             with pytest.raises(DivergenceError, match=r"epoch 1, batch \d"):
+                train_one(train, val, model, tc)
+
+    def test_nonfinite_gradient_reported_with_location(self, monkeypatch):
+        """An inf that only the backward pass makes reaches Adam's check and
+        still names its epoch and batch."""
+        real_gap = F.global_avg_pool
+        calls = []
+
+        def gap_with_inf_in_backward(x):
+            out = real_gap(x)
+            backward = out._backward_fn
+            if backward is None:
+                return out
+
+            def poisoned(g):
+                calls.append(1)
+                if len(calls) == 5:  # epoch 2, batch 1 of 3
+                    g = g.copy()
+                    g[0, 0] = np.inf
+                backward(g)
+
+            out._backward_fn = poisoned
+            return out
+
+        monkeypatch.setattr(F, "global_avg_pool", gap_with_inf_in_backward)
+        rng = np.random.default_rng(13)
+        train, val = blob_sets(rng, n_train=12, n_val=2)
+        model = build_model(TINY_CONFIG, ["top", "bottom"], seed=1)
+        tc = TrainConfig(epochs_max=5, batch_size=4, early_stop_patience=5, seed=2)
+        with np.errstate(invalid="ignore", over="ignore"):
+            with pytest.raises(
+                DivergenceError, match=r"epoch 2, batch 1: non-finite gradient"
+            ):
                 train_one(train, val, model, tc)
 
     def test_empty_sets_rejected(self):
